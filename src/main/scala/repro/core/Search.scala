@@ -39,6 +39,8 @@ object Search {
 
   def buildColumnIndex(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                        mkIndex: Int => VectorIndex): ColumnIndex = {
+    require(lake.exists(_._2.nonEmpty),
+      s"buildColumnIndex needs at least one column; the lake has ${lake.size} tables and no columns")
     val dim   = lake.iterator.flatMap(_._2.headOption).next().length
     val index = mkIndex(dim)
     val owner = mutable.ArrayBuffer[String]()

@@ -1,7 +1,7 @@
 package repro.index
 
 import repro.core.Linalg
-import scala.collection.mutable
+import scala.collection.immutable.ArraySeq
 
 /** Hierarchical Navigable Small World graph (Malkov & Yashunin, TPAMI 2020)
   * over cosine similarity — the index the paper credits with the 3,000×
@@ -11,35 +11,66 @@ import scala.collection.mutable
   * mL = 1/ln(M); greedy descent through upper layers; beam search of width
   * efConstruction at insertion / efSearch at query; neighbour lists pruned
   * to M (2M at layer 0) keeping the closest.
+  *
+  * Data layout follows hnswlib: vectors are held by reference (never
+  * copied); each node has one fixed-capacity `Int` link array per layer,
+  * count in slot 0, room for the layer's cap plus one overflow slot; beam
+  * search runs on an epoch-stamped visited array and two primitive
+  * (sim, node) heaps. Exactly equal similarities are ordered by node id
+  * (insertion order), lower first.
+  *
+  * The search buffers are reused across calls, so one instance must not be
+  * searched or extended from several threads at once.
   */
 final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
                  efSearch: Int = 64, seed: Long = 42) extends VectorIndex {
+  import Hnsw._
+
+  require(m >= 2, s"HNSW needs m >= 2 (level multiplier 1/ln m), got m = $m")
 
   private val mMax0 = 2 * m
   private val levelMult = 1.0 / math.log(m.toDouble)
   private val rnd = new scala.util.Random(seed)
 
-  private val vecs = mutable.ArrayBuffer[Array[Float]]()
-  private val extIds = mutable.ArrayBuffer[Int]()
-  /** neighbours(node)(layer) = array buffer of node ids */
-  private val neighbours = mutable.ArrayBuffer[Array[mutable.ArrayBuffer[Int]]]()
+  private var n = 0
+  private var vecs = new Array[Array[Float]](InitialCapacity)
+  private var extIds = new Array[Int](InitialCapacity)
+  /** links(node)(layer): slot 0 holds the count, slots 1..count the node ids.
+    * A node linked on a layer always has that layer, so lookups need no guard.
+    */
+  private var links = new Array[Array[Array[Int]]](InitialCapacity)
   private var entryPoint = -1
   private var maxLayer = -1
 
-  @inline private def sim(a: Int, q: Array[Float]): Float = Linalg.dot(vecs(a), q)
+  @transient private var scratchBuf: Scratch = _
+  private def scratch: Scratch = {
+    if (scratchBuf == null) scratchBuf = new Scratch(mMax0)
+    scratchBuf
+  }
 
-  override def size: Int = vecs.size
+  @inline private def sim(a: Int, q: Array[Float]): Float = Linalg.dot(vecs(a), q)
+  @inline private def capAt(layer: Int): Int = if (layer == 0) mMax0 else m
+
+  override def size: Int = n
 
   override def add(id: Int, vec: Array[Float]): Unit = {
     require(vec.length == dim)
-    val node = vecs.size
-    vecs += vec
-    extIds += id
+    val node = n
+    if (node == vecs.length) {
+      val cap = 2 * node
+      vecs = Array.copyOf(vecs, cap)
+      extIds = Array.copyOf(extIds, cap)
+      links = Array.copyOf(links, cap)
+    }
+    vecs(node) = vec
+    extIds(node) = id
     val level = math.floor(-math.log(rnd.nextDouble() + 1e-12) * levelMult).toInt
-    neighbours += Array.fill(level + 1)(mutable.ArrayBuffer[Int]())
+    links(node) = Array.tabulate(level + 1)(l => new Array[Int](capAt(l) + 2))
+    n += 1
 
     if (entryPoint < 0) { entryPoint = node; maxLayer = level; return }
 
+    val s = scratch
     var ep = entryPoint
     // greedy descent on layers above the new node's level
     var layer = maxLayer
@@ -50,60 +81,97 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     // beam-search insert on each layer ≤ min(level, maxLayer)
     layer = math.min(level, maxLayer)
     while (layer >= 0) {
-      val cands = searchLayer(vec, ep, efConstruction, layer)
-      val cap   = if (layer == 0) mMax0 else m
-      val selected = selectHeuristic(cands, m, vec)
-      val bucket = neighbours(node)(layer)
-      selected.foreach { nb =>
-        bucket += nb
-        val back = neighbours(nb)(layer)
-        back += node
-        if (back.size > cap) {
-          // prune with the same diversity heuristic, keyed on nb
-          val scored = back.map(x => (x, sim(x, vecs(nb)))).sortBy(-_._2).toIndexedSeq
-          val pruned = selectHeuristic(scored, cap, vecs(nb))
-          back.clear(); back ++= pruned
-        }
-      }
-      if (cands.nonEmpty) ep = cands.head._1
+      val found = searchLayer(vec, ep, efConstruction, layer)
+      val bucket = links(node)(layer)
+      selectHeuristic(s.outNodes, s.outSims, found, m, bucket)
+      ep = s.outNodes(0)
+      var i = 1
+      while (i <= bucket(0)) { linkBack(bucket(i), node, layer); i += 1 }
       layer -= 1
     }
     if (level > maxLayer) { maxLayer = level; entryPoint = node }
   }
 
   override def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)] = {
-    if (entryPoint < 0) return IndexedSeq.empty
+    require(query.length == dim, s"query has ${query.length} dimensions, index has $dim")
+    if (entryPoint < 0 || k <= 0) return IndexedSeq.empty
     var ep = entryPoint
     var layer = maxLayer
     while (layer > 0) {
       ep = greedyClosest(query, ep, layer)
       layer -= 1
     }
-    searchLayer(query, ep, math.max(efSearch, k), 0)
-      .take(k)
-      .map { case (n, s) => (extIds(n), s) }
+    val found = math.min(k, searchLayer(query, ep, math.max(efSearch, k), 0))
+    val s = scratch
+    val out = new Array[(Int, Float)](found)
+    var i = 0
+    while (i < found) { out(i) = (extIds(s.outNodes(i)), s.outSims(i)); i += 1 }
+    ArraySeq.unsafeWrapArray(out)
+  }
+
+  /** Adds `node` to `nb`'s list on `layer`; on overflow re-selects the list
+    * with the same heuristic, keyed on `nb`, from its members sorted by
+    * similarity descending (stable, so ties keep list order).
+    */
+  private def linkBack(nb: Int, node: Int, layer: Int): Unit = {
+    val back = links(nb)(layer)
+    val count = back(0) + 1
+    back(count) = node
+    back(0) = count
+    val cap = capAt(layer)
+    if (count > cap) {
+      val s = scratch
+      val nodes = s.pruneNodes
+      val sims = s.pruneSims
+      val base = vecs(nb)
+      var i = 0
+      while (i < count) {
+        val x = back(i + 1)
+        val sx = sim(x, base)
+        var j = i
+        while (j > 0 && sims(j - 1) < sx) {
+          sims(j) = sims(j - 1); nodes(j) = nodes(j - 1); j -= 1
+        }
+        sims(j) = sx; nodes(j) = x
+        i += 1
+      }
+      selectHeuristic(nodes, sims, count, cap, back)
+    }
   }
 
   /** Neighbour selection heuristic (Malkov & Yashunin, Alg. 4): pick up to
     * `cap` candidates that are closer to the query point than to any
     * already-selected neighbour — diversity keeps clustered regions
     * navigable. Remaining slots are filled with the closest leftovers.
+    * Reads `count` candidates best-first from `nodes`/`sims` and writes the
+    * selection into the link array `dst`.
     */
-  private def selectHeuristic(cands: IndexedSeq[(Int, Float)], cap: Int,
-                              q: Array[Float]): IndexedSeq[Int] = {
-    val selected = mutable.ArrayBuffer[Int]()
-    cands.foreach { case (c, simToQ) =>
-      if (selected.size < cap) {
-        val diverse = selected.forall(s => sim(c, vecs(s)) < simToQ)
-        if (diverse) selected += c
+  private def selectHeuristic(nodes: Array[Int], sims: Array[Float], count: Int,
+                              cap: Int, dst: Array[Int]): Unit = {
+    var selected = 0
+    var i = 0
+    while (i < count && selected < cap) {
+      val c = nodes(i)
+      val simToQ = sims(i)
+      var diverse = true
+      var j = 1
+      while (diverse && j <= selected) {
+        diverse = sim(c, vecs(dst(j))) < simToQ
+        j += 1
       }
+      if (diverse) { selected += 1; dst(selected) = c }
+      i += 1
     }
-    if (selected.size < cap) {
-      val chosen = selected.toSet
-      cands.iterator.map(_._1).filterNot(chosen.contains)
-        .take(cap - selected.size).foreach(selected += _)
+    i = 0
+    while (i < count && selected < cap) {
+      val c = nodes(i)
+      var chosen = false
+      var j = 1
+      while (!chosen && j <= selected) { chosen = dst(j) == c; j += 1 }
+      if (!chosen) { selected += 1; dst(selected) = c }
+      i += 1
     }
-    selected.toIndexedSeq
+    dst(0) = selected
   }
 
   /** greedy hill-climb to the locally closest node on `layer` */
@@ -113,54 +181,157 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     var improved = true
     while (improved) {
       improved = false
-      val nbs = neighbours(cur)
-      if (layer < nbs.length) {
-        nbs(layer).foreach { nb =>
-          val s = sim(nb, q)
-          if (s > curSim) { curSim = s; cur = nb; improved = true }
-        }
+      val nbs = links(cur)(layer)
+      var i = 1
+      while (i <= nbs(0)) {
+        val nb = nbs(i)
+        val s = sim(nb, q)
+        if (s > curSim) { curSim = s; cur = nb; improved = true }
+        i += 1
       }
     }
     cur
   }
 
-  /** beam search of width `ef` on `layer`; returns candidates best-first */
-  private def searchLayer(q: Array[Float], ep: Int, ef: Int,
-                          layer: Int): IndexedSeq[(Int, Float)] = {
-    val visited = mutable.HashSet[Int](ep)
-    // candidates: max-heap by sim; results: min-heap by sim (bounded by ef)
-    val cand = mutable.PriorityQueue[(Int, Float)]()(Ordering.by(_._2))
-    val res  = mutable.PriorityQueue[(Int, Float)]()(Ordering.by(-_._2))
+  /** Beam search of width `ef` on `layer`. Leaves the candidates best-first
+    * in `scratch.outNodes`/`outSims` and returns how many there are.
+    */
+  private def searchLayer(q: Array[Float], ep: Int, ef: Int, layer: Int): Int = {
+    val s = scratch
+    val stamp = s.nextEpoch(links.length)
+    val visited = s.visited
+    // candidates: best on top; results: worst on top (bounded by ef)
+    val cand = s.cand
+    val res = s.res
+    cand.clear(); res.clear()
+    visited(ep) = stamp
     val epSim = sim(ep, q)
-    cand.enqueue((ep, epSim)); res.enqueue((ep, epSim))
-    while (cand.nonEmpty) {
-      val (c, cSim) = cand.dequeue()
-      val worst = res.head._2
-      if (cSim < worst && res.size >= ef) {
+    cand.push(epSim, ep); res.push(epSim, ep)
+    while (cand.size > 0) {
+      val c = cand.topNode
+      val cSim = cand.topSim
+      cand.pop()
+      if (cSim < res.topSim && res.size >= ef) {
         cand.clear() // nothing closer can be found
       } else {
-        val nbs = neighbours(c)
-        if (layer < nbs.length) {
-          nbs(layer).foreach { nb =>
-            if (!visited.contains(nb)) {
-              visited += nb
-              val s = sim(nb, q)
-              if (res.size < ef || s > res.head._2) {
-                cand.enqueue((nb, s))
-                res.enqueue((nb, s))
-                if (res.size > ef) res.dequeue()
-              }
+        val nbs = links(c)(layer)
+        var i = 1
+        while (i <= nbs(0)) {
+          val nb = nbs(i)
+          if (visited(nb) != stamp) {
+            visited(nb) = stamp
+            val sn = sim(nb, q)
+            if (res.size < ef || sn > res.topSim) {
+              cand.push(sn, nb)
+              res.push(sn, nb)
+              if (res.size > ef) res.pop()
             }
           }
+          i += 1
         }
       }
     }
-    res.dequeueAll.reverse.toIndexedSeq
+    val found = res.size
+    s.ensureOut(found)
+    var i = found - 1
+    while (i >= 0) {
+      s.outNodes(i) = res.topNode; s.outSims(i) = res.topSim; res.pop()
+      i -= 1
+    }
+    found
   }
 
   override def memoryBytes: Long = {
-    var links = 0L
-    neighbours.foreach(_.foreach(links += _.size))
-    size.toLong * (4L + 4L * dim) + links * 4L
+    var live = 0L
+    var node = 0
+    while (node < n) { links(node).foreach(live += _(0)); node += 1 }
+    size.toLong * (4L + 4L * dim) + live * 4L
+  }
+}
+
+object Hnsw {
+  private val InitialCapacity = 64
+
+  /** Per-instance search buffers; rebuilt on first use after deserialization. */
+  private final class Scratch(mMax0: Int) {
+    var visited = new Array[Int](0)
+    private var epoch = 0
+    val cand = new PairHeap(worstOnTop = false)
+    val res = new PairHeap(worstOnTop = true)
+    var outNodes = new Array[Int](0)
+    var outSims = new Array[Float](0)
+    val pruneNodes = new Array[Int](mMax0 + 1)
+    val pruneSims = new Array[Float](mMax0 + 1)
+
+    /** a stamp no entry of `visited` (sized for `nodes`) holds yet */
+    def nextEpoch(nodes: Int): Int = {
+      if (epoch == Int.MaxValue) { java.util.Arrays.fill(visited, 0); epoch = 0 }
+      if (visited.length < nodes) visited = new Array[Int](nodes)
+      epoch += 1
+      epoch
+    }
+
+    def ensureOut(count: Int): Unit =
+      if (outNodes.length < count) {
+        outNodes = new Array[Int](count)
+        outSims = new Array[Float](count)
+      }
+  }
+
+  /** Binary heap of (sim, node) pairs on primitive arrays. Pairs are ranked
+    * by sim descending, then node ascending; the top is the best pair, or
+    * the worst with `worstOnTop`.
+    */
+  private final class PairHeap(worstOnTop: Boolean) {
+    private var sims = new Array[Float](64)
+    private var nodes = new Array[Int](64)
+    var size = 0
+
+    def topSim: Float = sims(0)
+    def topNode: Int = nodes(0)
+    def clear(): Unit = size = 0
+
+    /** whether slot `a` belongs above slot `b` */
+    @inline private def above(a: Int, b: Int): Boolean = {
+      val sa = sims(a); val sb = sims(b)
+      if (worstOnTop) sa < sb || (sa == sb && nodes(a) > nodes(b))
+      else sa > sb || (sa == sb && nodes(a) < nodes(b))
+    }
+
+    @inline private def swap(a: Int, b: Int): Unit = {
+      val s = sims(a); sims(a) = sims(b); sims(b) = s
+      val x = nodes(a); nodes(a) = nodes(b); nodes(b) = x
+    }
+
+    def push(sim: Float, node: Int): Unit = {
+      if (size == sims.length) {
+        sims = Array.copyOf(sims, 2 * size)
+        nodes = Array.copyOf(nodes, 2 * size)
+      }
+      sims(size) = sim; nodes(size) = node
+      var i = size
+      size += 1
+      while (i > 0 && above(i, (i - 1) >> 1)) {
+        swap(i, (i - 1) >> 1)
+        i = (i - 1) >> 1
+      }
+    }
+
+    /** removes the top pair */
+    def pop(): Unit = {
+      size -= 1
+      sims(0) = sims(size); nodes(0) = nodes(size)
+      var i = 0
+      var done = false
+      while (!done) {
+        val l = 2 * i + 1
+        if (l >= size) done = true
+        else {
+          val r = l + 1
+          val child = if (r < size && above(r, l)) r else l
+          if (above(child, i)) { swap(child, i); i = child } else done = true
+        }
+      }
+    }
   }
 }

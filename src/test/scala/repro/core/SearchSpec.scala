@@ -101,4 +101,13 @@ class SearchSpec extends AnyFunSuite {
     val res = searcher.queryPruning(q, 5)
     assert(res.ranked.size == 5)
   }
+
+  test("buildColumnIndex rejects a lake without columns") {
+    val empty = IndexedSeq.empty[(String, IndexedSeq[Array[Float]])]
+    val noCols = IndexedSeq("a" -> IndexedSeq.empty[Array[Float]], "b" -> IndexedSeq.empty[Array[Float]])
+    Seq(empty, noCols).foreach { l =>
+      val e = intercept[IllegalArgumentException](Search.buildColumnIndex(l, d => new Hnsw(d)))
+      assert(e.getMessage.contains("at least one column"))
+    }
+  }
 }

@@ -97,4 +97,72 @@ class HnswSpec extends AnyFunSuite {
     assert(h.memoryBytes > m1)
     assert(h.size == 100)
   }
+
+  test("build and search match the reference digest of the original implementation") {
+    // SHA-256 over every query's (id, score bits), sorted by score descending
+    // then id, recorded from the boxed-tuple implementation this class replaced
+    val rnd = new Random(11)
+    val d = 16
+    val h = new Hnsw(d, seed = 5)
+    (0 until 2000).foreach(i => h.add(i, randomUnit(d, rnd)))
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(8)
+    (0 until 50).foreach { _ =>
+      val res = h.search(randomUnit(d, rnd), 64)
+      assert(res.size == 64)
+      res.sortWith { case ((i1, s1), (i2, s2)) => if (s1 != s2) s1 > s2 else i1 < i2 }
+        .foreach { case (id, s) =>
+          buf.clear()
+          buf.putInt(id).putInt(java.lang.Float.floatToIntBits(s))
+          md.update(buf.array())
+        }
+    }
+    assert(md.digest().map(b => f"$b%02x").mkString ==
+      "8907e9fd827bc847c575b653cf9c0748e7d60d5f924ec8d4a6c1eae1c4c9849f")
+    assert(h.memoryBytes == 351440L)
+  }
+
+  test("equal scores come back in ascending id order") {
+    val rnd = new Random(7)
+    val d = 8
+    val v = randomUnit(d, rnd)
+    val h = new Hnsw(d)
+    val copies = (0 until 60).filter { i =>
+      val dup = i % 5 == 2
+      h.add(i, if (dup) v.clone() else randomUnit(d, rnd))
+      dup
+    }
+    val res = h.search(v, copies.size)
+    assert(res.map(_._2).distinct == IndexedSeq(Linalg.dot(v, v)))
+    assert(res.map(_._1) == copies)
+  }
+
+  test("a Java-serialization round trip keeps searches and later inserts identical") {
+    import java.io._
+    val rnd = new Random(8)
+    val d = 16
+    val h = new Hnsw(d, seed = 3)
+    (0 until 500).foreach(i => h.add(i, randomUnit(d, rnd)))
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(h); out.close()
+    val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[Hnsw]
+    val queries = IndexedSeq.fill(20)(randomUnit(d, rnd))
+    assert(queries.map(copy.search(_, 10)) == queries.map(h.search(_, 10)))
+    (500 until 700).foreach { i => val v = randomUnit(d, rnd); h.add(i, v); copy.add(i, v) }
+    assert(queries.map(copy.search(_, 10)) == queries.map(h.search(_, 10)))
+    assert(copy.size == h.size && copy.memoryBytes == h.memoryBytes)
+  }
+
+  test("m below 2 is rejected") {
+    intercept[IllegalArgumentException](new Hnsw(4, m = 1))
+  }
+
+  test("a query whose length is not the index dimension is rejected") {
+    val h = new Hnsw(4)
+    h.add(0, Array(1f, 0f, 0f, 0f))
+    intercept[IllegalArgumentException](h.search(Array(1f, 0f, 0f), 1))
+    intercept[IllegalArgumentException](h.search(Array(1f, 0f, 0f, 0f, 0f), 1))
+  }
 }
