@@ -1,7 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
-import repro.SparkSpec
 import repro.exp.{Experiments, Tables}
 import repro.lake.Benchmarks
 import repro.lake.LakeGen
@@ -13,16 +11,13 @@ import repro.lake.LakeGen.Lake
   */
 object BenchContext {
 
-  def spark: SparkSession = SparkSpec.shared
-  def sparkOpt: Option[SparkSession] = Some(spark)
-
   private def envInt(name: String, default: Int): Int =
     sys.env.get(name).map(_.toInt).getOrElse(default)
 
   // effectiveness benchmarks (Table 3) — also reused by Tables 4/5/8
-  lazy val santosSmall: Tables.T3Result = Tables.table3(Benchmarks.santosSmall, sparkOpt)
-  lazy val tusSmall: Tables.T3Result    = Tables.table3(Benchmarks.tusSmall, None)
-  lazy val tusLarge: Tables.T3Result    = Tables.table3(Benchmarks.tusLarge, None)
+  lazy val santosSmall: Tables.T3Result = Tables.table3(Benchmarks.santosSmall)
+  lazy val tusSmall: Tables.T3Result    = Tables.table3(Benchmarks.tusSmall)
+  lazy val tusLarge: Tables.T3Result    = Tables.table3(Benchmarks.tusLarge)
 
   lazy val santosSmallEmbeddings: Seq[Experiments.Embedded] =
     Tables.allEmbeddings(santosSmall.lake, santosSmall.models)

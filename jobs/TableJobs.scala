@@ -7,6 +7,7 @@ import repro.lake.{Benchmarks, LakeGen}
 
 /** spark-submit entrypoints, one per paper table / figure. Each wraps the
   * same driver functions the bench suites assert on (repro.exp.Tables).
+  * Only Table 7 uses Spark, for MLlib GBT.
   *
   *   spark-submit --class repro.jobs.Table3Effectiveness repro.jar
   */
@@ -21,55 +22,38 @@ object JobUtil {
 
 object Table2Stats {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table2")
-    try {
-      val profiles = Benchmarks.effectiveness :+ Benchmarks.santosLarge() :+ Benchmarks.wdc(30000)
-      println(Tables.renderT2(Tables.table2(profiles)))
-    } finally spark.stop()
+    val profiles = Benchmarks.effectiveness :+ Benchmarks.santosLarge() :+ Benchmarks.wdc(30000)
+    println(Tables.renderT2(Tables.table2(profiles)))
   }
 }
 
 object Table3Effectiveness {
-  def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table3")
-    try {
-      val results = Benchmarks.effectiveness.map(p => Tables.table3(p, Some(spark)))
-      println(Tables.renderT3(results))
-    } finally spark.stop()
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderT3(Benchmarks.effectiveness.map(Tables.table3)))
 }
 
 object Table4NegClasses {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table4")
-    try {
-      val res = Tables.table3(Benchmarks.tusSmall, None)
-      println(Tables.renderT4(Tables.table4(res.lake, res.models.feat)))
-    } finally spark.stop()
+    val res = Tables.table3(Benchmarks.tusSmall)
+    println(Tables.renderT4(Tables.table4(res.lake, res.models.feat)))
   }
 }
 
 object Table5DesignChoices {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table5")
-    try {
-      val res = Tables.table3(Benchmarks.santosSmall, Some(spark))
-      val emb = Experiments.embedLake(res.lake, res.models.starmie)
-      println(Tables.renderT58(Tables.table58(res.lake, Seq(emb), res.profile.k)))
-    } finally spark.stop()
+    val res = Tables.table3(Benchmarks.santosSmall)
+    val emb = Experiments.embedLake(res.lake, res.models.starmie)
+    println(Tables.renderT58(Tables.table58(res.lake, Seq(emb), res.profile.k)))
   }
 }
 
 object Table6Memory {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table6")
-    try {
-      val profile = Benchmarks.santosLarge()
-      val lake    = LakeGen.generate(profile.cfg)
-      val models  = Experiments.trainModels(lake, profile)
-      val emb     = Experiments.embedLake(lake, models.starmie)
-      println(Tables.renderT6(lake.sizeBytes / 1e6, Tables.table6(lake, emb)))
-    } finally spark.stop()
+    val profile = Benchmarks.santosLarge()
+    val lake    = LakeGen.generate(profile.cfg)
+    val models  = Experiments.trainModels(lake, profile)
+    val emb     = Experiments.embedLake(lake, models.starmie)
+    println(Tables.renderT6(lake.sizeBytes / 1e6, Tables.table6(lake, emb)))
   }
 }
 
@@ -88,42 +72,33 @@ object Table7MlDiscovery {
 
 object Table8FullEfficiency {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table8")
-    try {
-      val res  = Tables.table3(Benchmarks.santosSmall, Some(spark))
-      val embs = Tables.allEmbeddings(res.lake, res.models)
-      println(Tables.renderT58(Tables.table58(res.lake, embs, res.profile.k)))
-    } finally spark.stop()
+    val res  = Tables.table3(Benchmarks.santosSmall)
+    val embs = Tables.allEmbeddings(res.lake, res.models)
+    println(Tables.renderT58(Tables.table58(res.lake, embs, res.profile.k)))
   }
 }
 
 object Table10Clustering {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table10")
-    try {
-      val profile = Benchmarks.clustering
-      val lake    = LakeGen.generate(profile.cfg)
-      val models  = Experiments.trainModels(lake, profile)
-      val target  = math.max(lake.colContextualType.values.toSet.size,
-                             lake.totalColumns / 5)
-      val (rows, results) = Tables.table10(lake,
-        Seq(models.starmie, models.sato, models.sherlock, models.singleCol), target)
-      println(Tables.renderT10(rows))
-      println(Tables.renderT9(lake, results("starmie")))
-    } finally spark.stop()
+    val profile = Benchmarks.clustering
+    val lake    = LakeGen.generate(profile.cfg)
+    val models  = Experiments.trainModels(lake, profile)
+    val target  = math.max(lake.colContextualType.values.toSet.size,
+                           lake.totalColumns / 5)
+    val (rows, results) = Tables.table10(lake,
+      Seq(models.starmie, models.sato, models.sherlock, models.singleCol), target)
+    println(Tables.renderT10(rows))
+    println(Tables.renderT9(lake, results("starmie")))
   }
 }
 
 object Fig10Scalability {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("fig10")
-    try {
-      val profile = Benchmarks.santosLarge()
-      val lake    = LakeGen.generate(profile.cfg)
-      val models  = Experiments.trainModels(lake, profile)
-      val emb     = Experiments.embedLake(lake, models.starmie)
-      val sizes   = Seq(1000, 3000, lake.tables.size).distinct
-      println(Tables.renderFig10(Tables.fig10(lake, emb, 10, sizes, 10)))
-    } finally spark.stop()
+    val profile = Benchmarks.santosLarge()
+    val lake    = LakeGen.generate(profile.cfg)
+    val models  = Experiments.trainModels(lake, profile)
+    val emb     = Experiments.embedLake(lake, models.starmie)
+    val sizes   = Seq(1000, 3000, lake.tables.size).distinct
+    println(Tables.renderFig10(Tables.fig10(lake, emb, 10, sizes, 10)))
   }
 }

@@ -1,9 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types._
-
 /** A column encoder M maps every column of a table to an L2-normalized
   * embedding; cosine (= dot on normalized vectors) is the column
   * unionability score F of §2.1.
@@ -38,54 +34,4 @@ final class SingleColEncoder(feat: Featurizer, w: Array[Array[Float]])
   val dim: Int = w.length
   def encodeTable(t: TableData): IndexedSeq[Array[Float]] =
     t.columns.map(c => Linalg.normalize(Linalg.matVec(w, feat.columnFeatures(c))))
-}
-
-object Encoder {
-
-  /** Driver-side inference over a corpus: tableId -> per-column embeddings. */
-  def embedAll(tables: Seq[TableData], enc: ColumnEncoder): Map[String, IndexedSeq[Array[Float]]] =
-    tables.iterator.map(t => t.id -> enc.encodeTable(t)).toMap
-
-  /** Spark inference pipeline (the offline "model inference" stage of
-    * Figure 2): cell-level corpus DataFrame → one row per column with its
-    * embedding. The encoder (with its trained weights) is shipped to the
-    * executors via the closure; tables are reassembled per group so the
-    * multi-column encoder sees full table context.
-    */
-  def inferDf(spark: SparkSession, cellDf: DataFrame, enc: ColumnEncoder): DataFrame = {
-    val grouped = cellDf
-      .groupBy(col("table_id"))
-      .agg(collect_list(struct(col("col_idx"), col("col_name"),
-                               col("row_idx"), col("value"))).as("cells"))
-    val outSchema = StructType(Seq(
-      StructField("table_id", StringType, nullable = false),
-      StructField("col_idx", IntegerType, nullable = false),
-      StructField("embedding", ArrayType(FloatType, containsNull = false), nullable = false),
-    ))
-    val outEncoder = org.apache.spark.sql.catalyst.encoders.RowEncoder.encoderFor(outSchema)
-    grouped.flatMap { row =>
-      val tid   = row.getString(0)
-      val cells = row.getSeq[Row](1)
-      val cols = cells
-        .groupBy(_.getInt(0))
-        .toSeq
-        .sortBy(_._1)
-        .map { case (_, cs) =>
-          val name   = cs.head.getString(1)
-          val values = cs.sortBy(_.getInt(2)).map(_.getString(3)).toIndexedSeq
-          ColumnData(name, values)
-        }
-      val t    = TableData(tid, cols.toIndexedSeq)
-      val embs = enc.encodeTable(t)
-      embs.zipWithIndex.map { case (e, i) => Row(tid, i, e.toSeq) }
-    }(outEncoder).toDF("table_id", "col_idx", "embedding")
-  }
-
-  /** Collect an embeddings DataFrame back into the driver-side map shape. */
-  def collectEmbeddings(df: DataFrame): Map[String, IndexedSeq[Array[Float]]] =
-    df.collect()
-      .groupBy(_.getString(0))
-      .map { case (tid, rows) =>
-        tid -> rows.sortBy(_.getInt(1)).map(_.getSeq[Float](2).toArray).toIndexedSeq
-      }
 }

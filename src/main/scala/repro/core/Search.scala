@@ -57,13 +57,16 @@ object Search {
 }
 
 /** Top-k searcher over a fixed embedded lake. `tau` is the column-similarity
-  * lower bound of §4.1 (edge threshold in the bipartite graph).
+  * lower bound of §4.1 (edge threshold in the bipartite graph). Table ids
+  * must be distinct, and every query asks for `k > 0` tables.
   */
 final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                           tau: Double) {
   import Search._
 
   private val byId: Map[String, IndexedSeq[Array[Float]]] = lake.toMap
+  require(byId.size == lake.size,
+    s"table ids must be distinct; the lake has ${lake.size} tables but ${byId.size} ids")
 
   // Deterministic total order on (tableId, score): score descending, id
   // ascending on ties — so Linear and Pruning return identical lists even
@@ -80,6 +83,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
 
   /** Linear scan: verify every table, keep a k-min-heap. */
   def queryLinear(qEmb: IndexedSeq[Array[Float]], k: Int): Result = {
+    require(k > 0, s"k must be positive, got $k")
     val t0 = System.nanoTime()
     val heap = newHeap
     var verifications = 0L
@@ -100,6 +104,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     */
   def queryPruning(qEmb: IndexedSeq[Array[Float]], k: Int,
                    candidateIds: Option[IndexedSeq[String]] = None): Result = {
+    require(k > 0, s"k must be positive, got $k")
     val t0 = System.nanoTime()
     val cands = candidateIds.getOrElse(lake.map(_._1))
     val bounds = cands.map { tid =>

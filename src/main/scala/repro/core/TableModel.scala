@@ -22,9 +22,8 @@ final case class TableData(id: String, columns: IndexedSeq[ColumnData]) {
 
 object TableModel {
 
-  /** Cell-level DataFrame view of a corpus: one row per (table, column, row)
-    * cell. This is the relational backbone used by the Spark TF-IDF job
-    * (Algorithm 2) and the embedding-inference pipeline.
+  /** Cell-level DataFrame view of a corpus, one row per (table, column, row)
+    * cell. The DuckDB oracle tests build their input with it.
     */
   def toCellDf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
     import spark.implicits._
@@ -36,43 +35,5 @@ object TableModel {
       }
     }.toSeq
     rows.toDF("table_id", "col_idx", "col_name", "row_idx", "value")
-  }
-
-  /** Column-level DataFrame: one row per column with its concatenated tokens.
-    * Array column; project to scalars before handing to the DuckDB oracle.
-    */
-  def toColumnDf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
-    import spark.implicits._
-    tables.flatMap { t =>
-      t.columns.zipWithIndex.map { case (c, ci) =>
-        (t.id, ci, c.name, c.tokens)
-      }
-    }.toDF("table_id", "col_idx", "col_name", "tokens")
-  }
-
-  /** Rebuild driver-side tables from a cell-level DataFrame (inverse of
-    * [[toCellDf]] up to row order within a column, which we preserve by
-    * sorting on row_idx).
-    */
-  def fromCellDf(df: DataFrame): Seq[TableData] = {
-    val collected = df
-      .select("table_id", "col_idx", "col_name", "row_idx", "value")
-      .collect()
-    collected
-      .groupBy(_.getString(0))
-      .toSeq
-      .sortBy(_._1)
-      .map { case (tid, rows) =>
-        val cols = rows
-          .groupBy(_.getInt(1))
-          .toSeq
-          .sortBy(_._1)
-          .map { case (_, cells) =>
-            val name   = cells.head.getString(2)
-            val values = cells.sortBy(_.getInt(3)).map(_.getString(4)).toIndexedSeq
-            ColumnData(name, values)
-          }
-        TableData(tid, cols.toIndexedSeq)
-      }
   }
 }

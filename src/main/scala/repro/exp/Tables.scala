@@ -10,7 +10,7 @@ import repro.ml.DataDiscoveryML
 
 /** One driver per paper table. Each returns structured rows (asserted by the
   * bench suites) plus a pretty renderer (printed by bench suites and jobs/
-  * mains alike), so bench output and spark-submit output share a code path.
+  * mains alike), so bench output and jobs/ output share a code path.
   */
 object Tables {
 
@@ -39,8 +39,8 @@ object Tables {
                             models: Experiments.LakeModels,
                             rows: Seq[Experiments.EvalRow])
 
-  def table3(profile: Profile, spark: Option[SparkSession]): T3Result = {
-    val (lake, models, rows) = Experiments.effectiveness(profile, spark)
+  def table3(profile: Profile): T3Result = {
+    val (lake, models, rows) = Experiments.effectiveness(profile)
     T3Result(profile, lake, models, rows)
   }
 
@@ -187,10 +187,9 @@ object Tables {
   // ---- shared helpers --------------------------------------------------------
 
   /** All four embedding methods for a lake, as Embedded lakes. */
-  def allEmbeddings(lake: Lake, models: Experiments.LakeModels,
-                    spark: Option[SparkSession] = None): Seq[Experiments.Embedded] =
+  def allEmbeddings(lake: Lake, models: Experiments.LakeModels): Seq[Experiments.Embedded] =
     Seq(models.starmie, models.sato, models.sherlock, models.singleCol)
-      .map(enc => Experiments.embedLake(lake, enc, spark))
+      .map(enc => Experiments.embedLake(lake, enc))
 
   def defaultEffectivenessProfiles: Seq[Profile] = Benchmarks.effectiveness
 }

@@ -1,8 +1,8 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 
-class EncoderSpec extends SparkSpec {
+class EncoderSpec extends AnyFunSuite {
 
   private val feat = new Featurizer(FeatConfig(hashDim = 64))
 
@@ -45,26 +45,5 @@ class EncoderSpec extends SparkSpec {
     intercept[IllegalArgumentException] {
       new StarmieEncoder(feat, Linalg.randomMatrix(16, 3, 1))
     }
-  }
-
-  test("Spark inference pipeline equals driver-side inference") {
-    val enc = mkStarmie
-    val cellDf = TableModel.toCellDf(spark, tables)
-    val viaSpark = Encoder.collectEmbeddings(Encoder.inferDf(spark, cellDf, enc))
-    val viaDriver = Encoder.embedAll(tables, enc)
-    assert(viaSpark.keySet == viaDriver.keySet)
-    viaSpark.foreach { case (tid, embs) =>
-      embs.zip(viaDriver(tid)).foreach { case (a, b) =>
-        a.zip(b).foreach { case (x, y) => assert(math.abs(x - y) < 1e-5) }
-      }
-    }
-  }
-
-  test("inferDf emits one row per column") {
-    val enc = mkStarmie
-    val cellDf = TableModel.toCellDf(spark, tables)
-    val df = Encoder.inferDf(spark, cellDf, enc)
-    assert(df.count() == 3)
-    assert(df.columns.toSeq == Seq("table_id", "col_idx", "embedding"))
   }
 }

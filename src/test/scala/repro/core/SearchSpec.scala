@@ -1,10 +1,12 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.{Hnsw, SimHashLsh}
+import repro.index.{Hnsw, LinearIndex, SimHashLsh}
 import scala.util.Random
 
 class SearchSpec extends AnyFunSuite {
+  import SearchSpec.LakeCase
 
   /** A synthetic embedded lake: `nGroups` groups of `perGroup` tables; tables
     * of the same group have near-identical column embeddings.
@@ -110,4 +112,76 @@ class SearchSpec extends AnyFunSuite {
       assert(e.getMessage.contains("at least one column"))
     }
   }
+
+  test("k ≤ 0 is rejected by every query mode") {
+    val index = Search.buildColumnIndex(lake, d => new LinearIndex(d))
+    val q = byId("g0t0")
+    for (k <- Seq(0, -1);
+         run <- Seq[() => Search.Result](() => searcher.queryLinear(q, k),
+                                         () => searcher.queryPruning(q, k),
+                                         () => searcher.queryWithIndex(q, k, index))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("k must be positive"))
+    }
+  }
+
+  test("duplicate table ids are rejected") {
+    val dup = lake.take(3) :+ (lake.head._1 -> lake(1)._2)
+    val e = intercept[IllegalArgumentException](new UnionSearcher(dup, tau = 0.5))
+    assert(e.getMessage.contains("distinct"))
+  }
+
+  // ---- exactness properties over random small lakes -------------------------
+
+  /** 1–8 tables of 0–4 columns each, k ∈ [1, n+3], τ ∈ [0, 0.95]. Columns are
+    * drawn around a pool of four directions; with noise 0 they repeat exactly,
+    * so tied scores occur as well as edges on either side of τ. Ids are
+    * shuffled, so that lake order does not decide ties.
+    */
+  private val genCase: Gen[LakeCase] = {
+    val d = 4
+    val coords = Gen.listOfN(d, Gen.choose(-1.0, 1.0))
+    for {
+      pool   <- Gen.listOfN(4, coords)
+      noise  <- Gen.oneOf(0.0, 0.1, 0.5)
+      col     = for (c <- Gen.oneOf(pool); e <- coords)
+                  yield Linalg.normalize(c.zip(e).map { case (a, b) => (a + noise * b).toFloat }.toArray)
+      cols    = Gen.choose(0, 4).flatMap(Gen.listOfN(_, col)).map(_.toIndexedSeq)
+      n      <- Gen.choose(1, 8)
+      tables <- Gen.listOfN(n, cols)
+      ids    <- Gen.long.map(seed => new Random(seed).shuffle((0 until n).map(i => s"t$i")))
+      query  <- cols
+      k      <- Gen.choose(1, n + 3)
+      tau    <- Gen.choose(0.0, 0.95)
+    } yield LakeCase(ids.zip(tables), query, k, tau)
+  }
+
+  private def holds(prop: Prop): Boolean =
+    SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed
+
+  test("Pruning returns exactly Linear's ranked list (property)") {
+    assert(holds(Prop.forAllNoShrink(genCase) { c =>
+      val s = new UnionSearcher(c.lake, c.tau)
+      s.queryPruning(c.query, c.k).ranked == s.queryLinear(c.query, c.k).ranked
+    }))
+  }
+
+  test("LinearIndex with a full probe returns Pruning's positive-score entries (property)") {
+    // candidate generation drops tables without a τ-edge; Pruning fills its
+    // heap with their free 0 scores instead
+    assert(holds(Prop.forAllNoShrink(genCase) { c =>
+      val nCols = c.lake.map(_._2.size).sum
+      nCols == 0 || {
+        val s     = new UnionSearcher(c.lake, c.tau)
+        val index = Search.buildColumnIndex(c.lake, d => new LinearIndex(d))
+        s.queryWithIndex(c.query, c.k, index, probe = nCols).ranked ==
+          s.queryPruning(c.query, c.k).ranked.filter(_._2 > 0)
+      }
+    }))
+  }
+}
+
+object SearchSpec {
+  final case class LakeCase(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
+                            query: IndexedSeq[Array[Float]], k: Int, tau: Double)
 }

@@ -27,19 +27,6 @@ class TableModelSpec extends SparkSpec {
       "cells" -> cellDf)
   }
 
-  test("fromCellDf round-trips the corpus") {
-    val df = TableModel.toCellDf(spark, tables)
-    val back = TableModel.fromCellDf(df)
-    assert(back.sortBy(_.id) == tables.sortBy(_.id))
-  }
-
-  test("toColumnDf carries token arrays") {
-    val df = TableModel.toColumnDf(spark, tables)
-    assert(df.count() == 3)
-    val row = df.filter("table_id = 't1' and col_idx = 0").head()
-    assert(row.getSeq[String](3) == Seq("x", "y"))
-  }
-
   test("ColumnData numeric detection") {
     assert(ColumnData("n", IndexedSeq("1", "2", "x")).isNumeric)
     assert(!ColumnData("n", IndexedSeq("a", "b", "3")).isNumeric)

@@ -1,12 +1,12 @@
 package repro.exp
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Contrastive
 import repro.lake.Benchmarks.Profile
 import repro.lake.LakeGen
 import repro.lake.LakeGen.LakeConfig
 
-class ExperimentsSpec extends SparkSpec {
+class ExperimentsSpec extends AnyFunSuite {
 
   /** tiny profile so the full pipeline runs in seconds */
   private val tiny = Profile(
@@ -19,7 +19,7 @@ class ExperimentsSpec extends SparkSpec {
   private val quickTrain = Contrastive.TrainConfig(
     embedDim = 32, batchTables = 6, epochs = 8, maxSteps = 80)
 
-  private lazy val full = Experiments.effectiveness(tiny, None, quickTrain)
+  private lazy val full = Experiments.effectiveness(tiny, quickTrain)
 
   test("effectiveness produces a row per method") {
     val (_, _, rows) = full
@@ -47,7 +47,7 @@ class ExperimentsSpec extends SparkSpec {
 
   test("santosAvailable=false drops the santos row") {
     val noSantos = tiny.copy(santosAvailable = false)
-    val (_, _, rows) = Experiments.effectiveness(noSantos, None, quickTrain)
+    val (_, _, rows) = Experiments.effectiveness(noSantos, quickTrain)
     assert(!rows.exists(_.method == "santos"))
   }
 
@@ -99,17 +99,5 @@ class ExperimentsSpec extends SparkSpec {
     assert(rows.map(_._2).distinct.toSet ==
       Set("Linear", "Pruning", "LSH Index", "HNSW Index"))
     rows.foreach { case (_, _, ms, _) => assert(ms >= 0) }
-  }
-
-  test("Spark-pipeline embeddings equal driver embeddings end-to-end") {
-    val (lake, models, _) = full
-    val viaSpark  = Experiments.embedLake(lake, models.starmie, Some(spark))
-    val viaDriver = Experiments.embedLake(lake, models.starmie)
-    assert(viaSpark.lake.map(_._1) == viaDriver.lake.map(_._1))
-    viaSpark.lake.zip(viaDriver.lake).foreach { case ((_, a), (_, b)) =>
-      a.zip(b).foreach { case (x, y) =>
-        x.zip(y).foreach { case (p, q) => assert(math.abs(p - q) < 1e-5) }
-      }
-    }
   }
 }
