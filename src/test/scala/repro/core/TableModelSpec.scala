@@ -27,6 +27,28 @@ class TableModelSpec extends SparkSpec {
       "cells" -> cellDf)
   }
 
+  /** Rebuilds the corpus from its cell-level view, ordering columns by
+    * col_idx and cells by row_idx: the inverse of [[TableModel.toCellDf]].
+    */
+  private def fromCellDf(df: org.apache.spark.sql.DataFrame): Seq[TableData] =
+    df.select("table_id", "col_idx", "col_name", "row_idx", "value")
+      .collect()
+      .groupBy(_.getString(0))
+      .toSeq
+      .sortBy(_._1)
+      .map { case (tid, rows) =>
+        val cols = rows.groupBy(_.getInt(1)).toSeq.sortBy(_._1).map { case (_, cells) =>
+          ColumnData(cells.head.getString(2),
+            cells.sortBy(_.getInt(3)).map(_.getString(4)).toIndexedSeq)
+        }
+        TableData(tid, cols.toIndexedSeq)
+      }
+
+  test("fromCellDf round-trips the corpus") {
+    val back = fromCellDf(TableModel.toCellDf(spark, tables))
+    assert(back.sortBy(_.id) == tables.sortBy(_.id))
+  }
+
   test("ColumnData numeric detection") {
     assert(ColumnData("n", IndexedSeq("1", "2", "x")).isNumeric)
     assert(!ColumnData("n", IndexedSeq("a", "b", "3")).isNumeric)
