@@ -59,14 +59,24 @@ object Search {
 /** Top-k searcher over a fixed embedded lake. `tau` is the column-similarity
   * lower bound of §4.1 (edge threshold in the bipartite graph). Table ids
   * must be distinct, and every query asks for `k > 0` tables.
+  *
+  * The searcher holds every lake column by reference in one array, table by
+  * table, with `Int` offsets and one id → table-index map. Queries keep all
+  * their working buffers in the call, so concurrent queries on one searcher
+  * are safe.
   */
 final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                           tau: Double) {
   import Search._
 
-  private val byId: Map[String, IndexedSeq[Array[Float]]] = lake.toMap
-  require(byId.size == lake.size,
-    s"table ids must be distinct; the lake has ${lake.size} tables but ${byId.size} ids")
+  private val indexOf: Map[String, Int] = lake.iterator.map(_._1).zipWithIndex.toMap
+  require(indexOf.size == lake.size,
+    s"table ids must be distinct; the lake has ${lake.size} tables but ${indexOf.size} ids")
+
+  /** every lake column, table by table; table t owns cols(offsets(t) until offsets(t + 1)) */
+  private val cols: Array[Array[Float]] = lake.iterator.flatMap(_._2).toArray
+  private val offsets: Array[Int] = lake.iterator.map(_._2.size).scanLeft(0)(_ + _).toArray
+  private val maxCols = if (lake.isEmpty) 0 else lake.iterator.map(_._2.size).max
 
   // Deterministic total order on (tableId, score): score descending, id
   // ascending on ties — so Linear and Pruning return identical lists even
@@ -79,7 +89,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
 
   /** Exact verification U(S,T) — the expensive bipartite-matching call. */
   def verify(qEmb: IndexedSeq[Array[Float]], tableId: String): Double =
-    Matching.tableUnionability(qEmb, byId(tableId), tau)
+    Matching.tableUnionability(qEmb, lake(indexOf(tableId))._2, tau)
 
   /** Linear scan: verify every table, keep a k-min-heap. */
   def queryLinear(qEmb: IndexedSeq[Array[Float]], k: Int): Result = {
@@ -97,30 +107,83 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
            System.nanoTime() - t0)
   }
 
+  /** lake indexes of the candidate tables, in candidate order */
+  private def candidateIndexes(candidateIds: Option[IndexedSeq[String]]): Array[Int] =
+    candidateIds match {
+      case None => Array.range(0, lake.size)
+      case Some(ids) =>
+        val seen = new Array[Boolean](lake.size)
+        ids.iterator.map { id =>
+          val t = indexOf.getOrElse(id, -1)
+          require(t >= 0, s"candidate table '$id' is not in the lake")
+          require(!seen(t), s"candidate table '$id' is listed more than once")
+          seen(t) = true
+          t
+        }.toArray
+    }
+
   /** Pruning (Algorithm 3 over all tables): cheap LB/UB bounds per table,
     * a kth-largest-LB admission floor, then verification in descending-UB
     * order with early exit once UB can no longer beat the heap minimum.
     * Returns exactly the Linear result (modulo ties) with fewer verifications.
+    * Candidate ids must be distinct lake tables.
+    *
+    * The filter computes every query-column × candidate-column similarity in
+    * one `Linalg.dotBlock` pass, with the candidates' columns side by side,
+    * then both bounds of each table from one sort of its τ-surviving edges.
     */
   def queryPruning(qEmb: IndexedSeq[Array[Float]], k: Int,
                    candidateIds: Option[IndexedSeq[String]] = None): Result = {
     require(k > 0, s"k must be positive, got $k")
     val t0 = System.nanoTime()
-    val cands = candidateIds.getOrElse(lake.map(_._1))
-    val bounds = cands.map { tid =>
-      val sim = Matching.simMatrix(qEmb, byId(tid))
-      (tid, Bounds.lowerBound(sim, tau), Bounds.upperBound(sim, tau))
+    val tables = candidateIndexes(candidateIds)
+    val nt = tables.length
+    // candidate columns side by side; candidate c owns block columns start(c) until start(c + 1)
+    val (block, start) =
+      if (candidateIds.isEmpty) (cols, offsets)
+      else {
+        val st = tables.map(t => offsets(t + 1) - offsets(t)).scanLeft(0)(_ + _)
+        val bl = new Array[Array[Float]](st(nt))
+        tables.indices.foreach(c => System.arraycopy(cols, offsets(tables(c)), bl, st(c), st(c + 1) - st(c)))
+        (bl, st)
+      }
+    val q = qEmb.toArray
+    val m = q.length
+    val width = block.length
+    val sim = new Array[Float](m * width)
+    Linalg.dotBlock(q, block, sim)
+
+    val lbs = new Array[Double](nt)
+    val ubs = new Array[Double](nt)
+    val edges = new Bounds.EdgeList(m, maxCols, tau)
+    var c = 0
+    while (c < nt) {
+      val from = start(c); val n = start(c + 1) - from
+      edges.clear()
+      var i = 0
+      while (i < m) {
+        var j = 0
+        while (j < n) { edges.add(i, j, sim(i * width + from + j).toDouble); j += 1 }
+        i += 1
+      }
+      edges.bound(m, n)
+      lbs(c) = edges.lb; ubs(c) = edges.ub
+      c += 1
     }
     // admission floor: at least k tables have exact score ≥ kth-largest LB
     val lbFloor =
-      if (bounds.size >= k) bounds.map(_._2).sorted(Ordering[Double].reverse)(k - 1)
+      if (nt >= k) { val s = lbs.clone(); java.util.Arrays.sort(s); s(nt - k) }
       else Double.NegativeInfinity
-    val ordered = bounds.sortBy(-_._3) // descending UB
+    val order = Array.range(0, nt) // descending UB, stable
+    Bounds.sortDescending(order, new Array[Int](nt), nt, ubs)
+
     val heap = newHeap
     var verifications = 0L
     var stop = false
-    ordered.foreach { case (tid, _, ub) =>
+    order.foreach { cand =>
       if (!stop) {
+        val tid = lake(tables(cand))._1
+        val ub  = ubs(cand)
         if (heap.size < k) {
           // heap must fill to k regardless of bounds (UB=0 ⇒ exact=0: free)
           val u = if (ub == 0.0) 0.0 else { verifications += 1; verify(qEmb, tid) }
@@ -138,7 +201,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
         }
       }
     }
-    Result(heap.dequeueAll.reverse.toIndexedSeq, verifications, cands.size,
+    Result(heap.dequeueAll.reverse.toIndexedSeq, verifications, nt,
            System.nanoTime() - t0)
   }
 

@@ -5,6 +5,56 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class BoundsSpec extends AnyFunSuite {
 
+  // ---- reference: the tuple-based bounds that sort the edges once per bound --
+
+  private def oracleEdges(sim: Array[Array[Double]], tau: Double): IndexedSeq[(Int, Int, Double)] = {
+    val out = scala.collection.mutable.ArrayBuffer[(Int, Int, Double)]()
+    var i = 0
+    while (i < sim.length) {
+      var j = 0
+      while (j < sim(i).length) {
+        if (sim(i)(j) >= tau) out += ((i, j, sim(i)(j)))
+        j += 1
+      }
+      i += 1
+    }
+    out.sortBy(-_._3).toIndexedSeq
+  }
+
+  private def oracleUpperBound(sim: Array[Array[Double]], tau: Double): Double = {
+    if (sim.isEmpty || sim(0).isEmpty) return 0.0
+    val m = sim.length; val n = sim(0).length
+    val coveredS = new Array[Boolean](m)
+    val coveredT = new Array[Boolean](n)
+    var cs = 0; var ct = 0
+    var total = 0.0
+    val it = oracleEdges(sim, tau).iterator
+    var stop = false
+    while (it.hasNext && !stop) {
+      val (i, j, w) = it.next()
+      total += w
+      if (!coveredS(i)) { coveredS(i) = true; cs += 1 }
+      if (!coveredT(j)) { coveredT(j) = true; ct += 1 }
+      if (cs == m || ct == n) stop = true
+    }
+    total
+  }
+
+  private def oracleLowerBound(sim: Array[Array[Double]], tau: Double): Double = {
+    if (sim.isEmpty || sim(0).isEmpty) return 0.0
+    val m = sim.length; val n = sim(0).length
+    val usedS = new Array[Boolean](m)
+    val usedT = new Array[Boolean](n)
+    var total = 0.0
+    oracleEdges(sim, tau).foreach { case (i, j, w) =>
+      if (!usedS(i) && !usedT(j)) {
+        usedS(i) = true; usedT(j) = true
+        total += w
+      }
+    }
+    total
+  }
+
   private val fig7: Array[Array[Double]] = {
     val w = Array.ofDim[Double](4, 3)
     w(0)(0) = 0.8; w(0)(1) = 0.85
@@ -75,5 +125,28 @@ class BoundsSpec extends AnyFunSuite {
       Array(0.0, 0.9))
     val exact = Matching.maxWeightMatching(w)._1
     assert(Bounds.lowerBound(w, 0.5) == exact)
+  }
+
+  test("single-sort bounds and edges equal the tuple-based reference bit for bit (property)") {
+    // a few repeated values give exact weight ties, ±0.0 included; τ ≤ 0
+    // keeps zero and negative edges
+    val weight = Gen.frequency(
+      3 -> Gen.choose(-1.0, 1.0),
+      2 -> Gen.oneOf(-0.0, 0.0, 0.3, 0.45, 0.5, 0.7, 1.0))
+    val gen = for {
+      m    <- Gen.choose(0, 5)
+      n    <- Gen.choose(0, 9)
+      tau  <- Gen.oneOf(Gen.choose(-0.5, 0.9), Gen.oneOf(0.0, 0.45, 0.5))
+      vals <- Gen.listOfN(m * n, weight)
+    } yield (Array.tabulate(m, n)((i, j) => vals(i * n + j)), tau)
+    def bits(x: Double) = java.lang.Double.doubleToRawLongBits(x)
+    val prop = Prop.forAllNoShrink(gen) { case (w, tau) =>
+      val es = Bounds.edges(w, tau); val ref = oracleEdges(w, tau)
+      es.size == ref.size &&
+        es.zip(ref).forall { case (a, b) => a._1 == b._1 && a._2 == b._2 && bits(a._3) == bits(b._3) } &&
+        bits(Bounds.lowerBound(w, tau)) == bits(oracleLowerBound(w, tau)) &&
+        bits(Bounds.upperBound(w, tau)) == bits(oracleUpperBound(w, tau))
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(2000), prop).passed)
   }
 }

@@ -77,4 +77,24 @@ class LinalgSpec extends AnyFunSuite {
     val c = Linalg.randomMatrix(3, 4, 43)
     assert(a.flatten.toSeq != c.flatten.toSeq)
   }
+
+  test("dotBlock equals Matching.simMatrix bit for bit (property)") {
+    // m and n cover every leftover row and column of the 2 × 4 blocking
+    val gen = for {
+      m <- Gen.choose(0, 5)
+      n <- Gen.choose(0, 9)
+      d <- Gen.choose(1, 33)
+      v  = Gen.listOfN(d, Gen.choose(-1.0f, 1.0f)).map(_.toArray)
+      a <- Gen.listOfN(m, v)
+      b <- Gen.listOfN(n, v)
+    } yield (a.toArray, b.toArray)
+    check(Prop.forAllNoShrink(gen) { case (a, b) =>
+      val out = new Array[Float](a.length * b.length)
+      Linalg.dotBlock(a, b, out)
+      val sim = Matching.simMatrix(a.toIndexedSeq, b.toIndexedSeq)
+      a.indices.forall(i => b.indices.forall(j =>
+        java.lang.Float.floatToIntBits(out(i * b.length + j)) ==
+          java.lang.Float.floatToIntBits(sim(i)(j).toFloat)))
+    }, 1000)
+  }
 }

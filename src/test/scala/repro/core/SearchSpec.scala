@@ -131,6 +131,42 @@ class SearchSpec extends AnyFunSuite {
     assert(e.getMessage.contains("distinct"))
   }
 
+  test("candidate ids must be lake tables") {
+    val q = byId("g0t0")
+    val e = intercept[IllegalArgumentException](
+      searcher.queryPruning(q, 5, Some(IndexedSeq("g0t0", "nope"))))
+    assert(e.getMessage.contains("'nope' is not in the lake"))
+  }
+
+  test("candidate ids must be distinct") {
+    val q = byId("g0t0")
+    val e = intercept[IllegalArgumentException](
+      searcher.queryPruning(q, 5, Some(IndexedSeq("g0t0", "g0t0", "g0t1"))))
+    assert(e.getMessage.contains("'g0t0' is listed more than once"))
+  }
+
+  test("concurrent Pruning queries on one searcher equal the sequential ones") {
+    // tables of 1–6 columns, so that queries differ in every buffer size
+    val mixed = (1 to 6).flatMap { c =>
+      mkLake(nGroups = 4, perGroup = 8, cols = c, d = 16, seed = c).map { case (id, e) => s"c$c$id" -> e }
+    }
+    val s = new UnionSearcher(mixed, tau = 0.5)
+    val rnd = new Random(5)
+    val cands = mixed.indices.map(_ => Some(rnd.shuffle(mixed.map(_._1)).take(mixed.size / 2)))
+    val runs = (mixed.indices.map(i => (i, None)) ++ mixed.indices.zip(cands)).toArray
+    def run(r: (Int, Option[IndexedSeq[String]])): (IndexedSeq[(String, Double)], Long) = {
+      val res = s.queryPruning(mixed(r._1)._2, 10, r._2)
+      (res.ranked, res.verifications)
+    }
+    val sequential = runs.map(run)
+    (1 to 5).foreach { _ =>
+      val parallel = new Array[(IndexedSeq[(String, Double)], Long)](runs.length)
+      java.util.stream.IntStream.range(0, runs.length).parallel()
+        .forEach((i: Int) => parallel(i) = run(runs(i)))
+      assert(parallel.sameElements(sequential))
+    }
+  }
+
   // ---- exactness properties over random small lakes -------------------------
 
   /** 1–8 tables of 0–4 columns each, k ∈ [1, n+3], τ ∈ [0, 0.95]. Columns are
