@@ -109,7 +109,7 @@ object Bounds {
 
   /** Sorts idx(0 until n) stably by key(idx(·)) descending, in the order
     * `sortBy(-key)` gives: `-key` ascending under `java.lang.Double.compare`.
-    * `tmp` is scratch of length ≥ n. A merge sort over insertion-sorted
+    * `tmp` is a work buffer of length ≥ n. A merge sort over insertion-sorted
     * runs: most inputs are a few dozen entries.
     */
   private[core] def sortDescending(idx: Array[Int], tmp: Array[Int], n: Int,
