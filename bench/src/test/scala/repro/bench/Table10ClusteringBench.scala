@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.{Experiments, Tables}
 import repro.lake.Benchmarks
 import repro.lake.LakeGen
@@ -12,7 +12,7 @@ import repro.lake.LakeGen
   * clusters each); Starmie-SingleCol fragments (9,252 clusters, 20.38%).
   * Shape: Starmie > SATO > Sherlock at matched counts.
   */
-class Table10ClusteringBench extends SparkSpec {
+class Table10ClusteringBench extends AnyFunSuite {
 
   test("Tables 9/10: column clustering purity") {
     val profile = Benchmarks.clustering

@@ -1,6 +1,6 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Tables
 import repro.lake.Benchmarks
 
@@ -8,7 +8,7 @@ import repro.lake.Benchmarks
   * Paper: SANTOS Small 550 tables / 6,322 cols; TUS Small 1,530 / 14,810;
   * TUS Large 5,043 / 54,923; SANTOS Large 11,090 / 123,477; WDC 50M / 250M.
   */
-class Table2StatsBench extends SparkSpec {
+class Table2StatsBench extends AnyFunSuite {
 
   test("Table 2: corpus statistics") {
     val profiles = Benchmarks.effectiveness :+

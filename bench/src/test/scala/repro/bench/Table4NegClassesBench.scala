@@ -1,8 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.Metrics
-import repro.exp.Tables
+import repro.exp.{Experiments, Tables}
 
 /** Table 4 — micro-benchmark: Starmie MAP on 470-table lakes with 25%
   * positives and 2–9 negative classes (drawn from TUS Small templates).
@@ -10,11 +10,11 @@ import repro.exp.Tables
   * i.e., the false-negative effect of random negative sampling is small even
   * with very few classes.
   */
-class Table4NegClassesBench extends SparkSpec {
+class Table4NegClassesBench extends AnyFunSuite {
 
   test("Table 4: effect of the number of negative classes") {
-    val rows = Tables.table4(BenchContext.tusSmall.lake,
-                             BenchContext.tusSmall.models.feat)
+    val rows = Experiments.negativeClasses(BenchContext.tusSmall.lake,
+                                           BenchContext.tusSmall.models.feat)
     println("\n=== Table 4 (measured) ===")
     println(Tables.renderT4(rows))
 

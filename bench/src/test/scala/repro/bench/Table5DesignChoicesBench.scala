@@ -1,6 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.exp.Experiments
+import repro.exp.Experiments.{HnswIdx, Linear, Lsh, Pruning}
 import repro.exp.Tables
 
 /** Table 5 — effectiveness/efficiency of the four design choices for Starmie
@@ -8,7 +10,7 @@ import repro.exp.Tables
   * Paper: Linear .993 MAP / 96 s; Pruning .993 / 61 s; LSH .932 / 12 s;
   * HNSW .945 / 4 s. Pruning cut verifications 550 → 342 (38%).
   */
-class Table5DesignChoicesBench extends SparkSpec {
+class Table5DesignChoicesBench extends AnyFunSuite {
 
   test("Table 5: design choices for Starmie on SANTOS Small") {
     val lake = BenchContext.santosSmall.lake
@@ -19,24 +21,23 @@ class Table5DesignChoicesBench extends SparkSpec {
 
     val byTech = rows.map(r => r.technique -> r).toMap
     // pruning is exact: identical effectiveness to linear
-    assert(math.abs(byTech("Linear").map - byTech("Pruning").map) < 1e-9)
-    assert(math.abs(byTech("Linear").r - byTech("Pruning").r) < 1e-9)
+    assert(math.abs(byTech(Linear).map - byTech(Pruning).map) < 1e-9)
+    assert(math.abs(byTech(Linear).r - byTech(Pruning).r) < 1e-9)
     // approximate indexes lose only bounded effectiveness
-    assert(byTech("HNSW").map >= byTech("Linear").map - 0.2)
-    assert(byTech("LSH").map >= byTech("Linear").map - 0.35)
+    assert(byTech(HnswIdx).map >= byTech(Linear).map - 0.2)
+    assert(byTech(Lsh).map >= byTech(Linear).map - 0.35)
     // at 546 tables the index advantage is within timer noise (the paper's
     // large factors appear at scale — asserted in Fig10ScalabilityBench);
     // here only require the indexes not to be materially slower
-    assert(byTech("HNSW").queryMs <= byTech("Linear").queryMs * 2)
-    assert(byTech("LSH").queryMs <= byTech("Linear").queryMs * 2)
+    assert(byTech(HnswIdx).queryMs <= byTech(Linear).queryMs * 2)
+    assert(byTech(Lsh).queryMs <= byTech(Linear).queryMs * 2)
   }
 
   test("§5.3: pruning reduces verification count vs linear") {
-    import repro.exp.Experiments
     val lake = BenchContext.santosSmall.lake
     val emb  = BenchContext.santosSmallStarmie
-    val lin = Experiments.evalEmbedding(lake, emb, 10, Experiments.Linear)
-    val prn = Experiments.evalEmbedding(lake, emb, 10, Experiments.Pruning)
+    val lin = Experiments.evalEmbedding(lake, emb, 10, Linear)
+    val prn = Experiments.evalEmbedding(lake, emb, 10, Pruning)
     println(f"\nAvg verifications/query: Linear=${lin.avgVerifications}%.0f " +
             f"Pruning=${prn.avgVerifications}%.0f " +
             f"(${100 * (1 - prn.avgVerifications / lin.avgVerifications)}%.0f%% reduction; " +

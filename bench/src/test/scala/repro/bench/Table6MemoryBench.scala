@@ -1,8 +1,9 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Linalg, StarmieEncoder, Featurizer}
 import repro.exp.{Experiments, Tables}
+import repro.exp.Experiments.{HnswIdx, Lsh}
 import repro.lake.LakeGen
 import repro.lake.LakeGen.LakeConfig
 
@@ -13,7 +14,7 @@ import repro.lake.LakeGen.LakeConfig
   * profile (600 rows/table) like the paper's corpus; the encoder weights do
   * not affect memory, so inference uses the untrained projection.
   */
-class Table6MemoryBench extends SparkSpec {
+class Table6MemoryBench extends AnyFunSuite {
 
   test("Table 6: relative memory overhead on a row-heavy SANTOS Large profile") {
     val cfg = LakeConfig(name = "santosLargeMem", nTemplates = 100,
@@ -26,7 +27,7 @@ class Table6MemoryBench extends SparkSpec {
     val enc  = new StarmieEncoder(feat,
       Linalg.randomMatrix(128, feat.cfg.contextDim, 3))
     val emb  = Experiments.embedLake(lake, enc)
-    val rows = Tables.table6(lake, emb)
+    val rows = Experiments.memoryOverhead(lake, emb)
     println(s"\nCorpus: ${lake.tables.size} tables, ${lake.totalColumns} columns, " +
             f"avg rows ${lake.avgRows}%.0f")
     println("\n=== Table 6 (measured) ===")
@@ -37,13 +38,13 @@ class Table6MemoryBench extends SparkSpec {
     // embeddings are a small fraction of the lake (paper: 3.26%)
     assert(noIdx.overheadPct < 30.0, s"embedding overhead ${noIdx.overheadPct}%")
     // both indexes cost at least the embeddings, at most ~4x (paper: ~2x)
-    Seq("LSH Index", "HNSW Index").foreach { m =>
+    Seq(Lsh.name, HnswIdx.name).foreach { m =>
       assert(byMethod(m).memBytes >= noIdx.memBytes)
       assert(byMethod(m).memBytes <= noIdx.memBytes * 4,
         s"$m overhead ${byMethod(m).memBytes} vs ${noIdx.memBytes}")
     }
     // HNSW and LSH are in the same ballpark (paper: 749 vs 733 MB)
-    val ratio = byMethod("HNSW Index").memBytes.toDouble / byMethod("LSH Index").memBytes
+    val ratio = byMethod(HnswIdx.name).memBytes.toDouble / byMethod(Lsh.name).memBytes
     assert(ratio > 0.4 && ratio < 2.5, s"HNSW/LSH memory ratio $ratio")
   }
 }

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Contrastive
 import repro.exp.Tables
 
 /** Tables 7 & 11 — data discovery for downstream ML: 25 rating-prediction
@@ -15,8 +14,7 @@ import repro.exp.Tables
 class Table7MlDiscoveryBench extends SparkSpec {
 
   test("Tables 7/11: ML data-discovery case study") {
-    val res = Tables.table7(spark, nTasks = 25, rows = 200,
-      Contrastive.TrainConfig(maxSteps = 200, epochs = 40))
+    val res = Tables.table7(spark)
     println("\n=== Table 7 (measured) ===")
     println(Tables.renderT7(res))
     println("\n=== Table 11 (measured, per task) ===")

@@ -1,6 +1,7 @@
 package repro.bench
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
+import repro.exp.Experiments.{Linear, Pruning}
 import repro.exp.Tables
 
 /** Table 8 (appendix D.1) — the four design choices crossed with all four
@@ -9,7 +10,7 @@ import repro.exp.Tables
   * some effectiveness for speed; Starmie dominates every baseline under the
   * same technique.
   */
-class Table8FullEfficiencyBench extends SparkSpec {
+class Table8FullEfficiencyBench extends AnyFunSuite {
 
   test("Table 8: efficiency techniques across all embedding methods") {
     val lake = BenchContext.santosSmall.lake
@@ -24,16 +25,16 @@ class Table8FullEfficiencyBench extends SparkSpec {
     methods.foreach { m =>
       val mr = rows.filter(_.method == m).map(r => r.technique -> r).toMap
       // Pruning preserves the performance scores perfectly (paper, D.1)
-      assert(math.abs(mr("Linear").map - mr("Pruning").map) < 1e-9, s"$m pruning exactness")
-      assert(math.abs(mr("Linear").p - mr("Pruning").p) < 1e-9)
+      assert(math.abs(mr(Linear).map - mr(Pruning).map) < 1e-9, s"$m pruning exactness")
+      assert(math.abs(mr(Linear).p - mr(Pruning).p) < 1e-9)
     }
 
     // Starmie ≥ every baseline under the exact techniques
-    Seq("Linear", "Pruning").foreach { tech =>
+    Seq(Linear, Pruning).foreach { tech =>
       val at = rows.filter(_.technique == tech).map(r => r.method -> r.map).toMap
       Seq("sato", "sherlock", "singlecol").foreach { b =>
         assert(at("starmie") >= at(b),
-          s"starmie should dominate $b under $tech: ${at("starmie")} vs ${at(b)}")
+          s"starmie should dominate $b under ${tech.name}: ${at("starmie")} vs ${at(b)}")
       }
     }
   }

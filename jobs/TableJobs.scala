@@ -1,13 +1,12 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.Contrastive
 import repro.exp.{Experiments, Tables}
 import repro.lake.{Benchmarks, LakeGen}
 
 /** spark-submit entrypoints, one per paper table / figure. Each wraps the
-  * same driver functions the bench suites assert on (repro.exp.Tables).
-  * Only Table 7 uses Spark, for MLlib GBT.
+  * same experiment functions the bench suites assert on (repro.exp.Experiments
+  * and repro.exp.Tables). Only Table 7 uses Spark, for MLlib GBT.
   *
   *   spark-submit --class repro.jobs.Table3Effectiveness repro.jar
   */
@@ -29,19 +28,19 @@ object Table2Stats {
 
 object Table3Effectiveness {
   def main(args: Array[String]): Unit =
-    println(Tables.renderT3(Benchmarks.effectiveness.map(Tables.table3)))
+    println(Tables.renderT3(Benchmarks.effectiveness.map(Experiments.effectiveness(_))))
 }
 
 object Table4NegClasses {
   def main(args: Array[String]): Unit = {
-    val res = Tables.table3(Benchmarks.tusSmall)
-    println(Tables.renderT4(Tables.table4(res.lake, res.models.feat)))
+    val res = Experiments.effectiveness(Benchmarks.tusSmall)
+    println(Tables.renderT4(Experiments.negativeClasses(res.lake, res.models.feat)))
   }
 }
 
 object Table5DesignChoices {
   def main(args: Array[String]): Unit = {
-    val res = Tables.table3(Benchmarks.santosSmall)
+    val res = Experiments.effectiveness(Benchmarks.santosSmall)
     val emb = Experiments.embedLake(res.lake, res.models.starmie)
     println(Tables.renderT58(Tables.table58(res.lake, Seq(emb), res.profile.k)))
   }
@@ -53,7 +52,7 @@ object Table6Memory {
     val lake    = LakeGen.generate(profile.cfg)
     val models  = Experiments.trainModels(lake, profile)
     val emb     = Experiments.embedLake(lake, models.starmie)
-    println(Tables.renderT6(lake.sizeBytes / 1e6, Tables.table6(lake, emb)))
+    println(Tables.renderT6(lake.sizeBytes / 1e6, Experiments.memoryOverhead(lake, emb)))
   }
 }
 
@@ -61,8 +60,7 @@ object Table7MlDiscovery {
   def main(args: Array[String]): Unit = {
     val spark = JobUtil.session("table7")
     try {
-      val res = Tables.table7(spark, nTasks = 25, rows = 200,
-        Contrastive.TrainConfig(maxSteps = 200, epochs = 40))
+      val res = Tables.table7(spark)
       println(Tables.renderT7(res))
       println()
       println(Tables.renderT11(res))
@@ -72,7 +70,7 @@ object Table7MlDiscovery {
 
 object Table8FullEfficiency {
   def main(args: Array[String]): Unit = {
-    val res  = Tables.table3(Benchmarks.santosSmall)
+    val res  = Experiments.effectiveness(Benchmarks.santosSmall)
     val embs = Tables.allEmbeddings(res.lake, res.models)
     println(Tables.renderT58(Tables.table58(res.lake, embs, res.profile.k)))
   }
@@ -99,6 +97,6 @@ object Fig10Scalability {
     val models  = Experiments.trainModels(lake, profile)
     val emb     = Experiments.embedLake(lake, models.starmie)
     val sizes   = Seq(1000, 3000, lake.tables.size).distinct
-    println(Tables.renderFig10(Tables.fig10(lake, emb, 10, sizes, 10)))
+    println(Tables.renderFig10(Experiments.scalability(lake, emb, 10, sizes)))
   }
 }

@@ -68,19 +68,24 @@ object D3L {
     parts.sum / parts.size
   }
 
+  /** Edge threshold of D3L's table-level bipartite aggregation. */
+  private val Tau = 0.5
+  /** simHash LSH banding of the candidate index: tables × bits per table. */
+  private val LshTables = 6
+  private val LshBits   = 10
+
   /** D3L searcher. As in the published system, candidate columns come from
     * LSH indexes over the column features (simHash over the hashed-token
     * vectors); only candidate tables are scored — LSH recall loss is part of
     * D3L's measured effectiveness in the paper's Table 3.
     */
-  final class Searcher(lake: IndexedSeq[TableData], tau: Double = 0.5,
-                       lshTables: Int = 6, lshBits: Int = 10) {
+  final class Searcher(lake: IndexedSeq[TableData]) {
     private val sigs: Map[String, IndexedSeq[ColSig]] =
       lake.iterator.map(t => t.id -> t.columns.map(signature)).toMap
 
     private val feat = new Featurizer()
     private val lsh = {
-      val idx = new repro.index.SimHashLsh(feat.cfg.hashDim, lshTables, lshBits, seed = 19)
+      val idx = new repro.index.SimHashLsh(feat.cfg.hashDim, LshTables, LshBits, seed = 19)
       var id = 0
       lake.foreach { t =>
         t.columns.foreach { c => idx.add(id, feat.hashedTokens(c.tokens)); id += 1 }
@@ -94,7 +99,7 @@ object D3L {
       val qs = q.columns.map(signature)
       val ts = sigs(tid)
       val w  = Array.tabulate(qs.size, ts.size)((i, j) => columnScore(qs(i), ts(j)))
-      Matching.maxWeightMatching(Matching.thresholded(w, tau))._1
+      Matching.maxWeightMatching(Matching.thresholded(w, Tau))._1
     }
 
     def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{TableData, Tokenizer}
+import repro.core.TableData
 import repro.lake.LakeGen.Lake
 import scala.util.Random
 
@@ -36,40 +36,42 @@ final class SantosLike(classesOf: TableData => IndexedSeq[Option[String]]) {
   }
 
   /** SANTOS unionability score between two (annotated) tables. */
-  def score(q: TableData, t: TableData): Double = {
-    val qc = classMultiset(q); val tc = classMultiset(t)
-    val colMatch = qc.iterator.map { case (c, n) => math.min(n, tc.getOrElse(c, 0)) }.sum
-    val relMatch = relationships(q).intersect(relationships(t)).size
-    colMatch + relMatch.toDouble
-  }
+  def score(q: TableData, t: TableData): Double = annotated(q).score(annotated(t))
 
-  def query(q: TableData, lake: IndexedSeq[TableData], k: Int): IndexedSeq[(String, Double)] =
-    lake.map(t => t.id -> score(q, t)).sortBy(-_._2).take(k)
+  private def annotated(t: TableData) = SantosLike.Annotated(classMultiset(t), relationships(t))
 
   /** Lake searcher with per-table annotations precomputed once. */
   final class Searcher(lake: IndexedSeq[TableData]) {
-    private val cache: IndexedSeq[(String, Map[String, Int], Set[(String, String)])] =
-      lake.map(t => (t.id, classMultiset(t), relationships(t)))
+    private val cache: IndexedSeq[(String, SantosLike.Annotated)] =
+      lake.map(t => t.id -> annotated(t))
 
     def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {
-      val qc = classMultiset(q)
-      val qr = relationships(q)
-      cache.map { case (tid, tc, tr) =>
-        val colMatch = qc.iterator.map { case (c, n) => math.min(n, tc.getOrElse(c, 0)) }.sum
-        tid -> (colMatch + qr.intersect(tr).size.toDouble)
-      }.sortBy(-_._2).take(k)
+      val qa = annotated(q)
+      cache.map { case (tid, ta) => tid -> qa.score(ta) }.sortBy(-_._2).take(k)
     }
   }
 }
 
 object SantosLike {
 
+  /** A table's column classes (as a multiset) and binary relationships. */
+  private final case class Annotated(classes: Map[String, Int], rels: Set[(String, String)]) {
+    /** matched column classes plus matched relationships */
+    def score(t: Annotated): Double = {
+      val colMatch = classes.iterator.map { case (c, n) => math.min(n, t.classes.getOrElse(c, 0)) }.sum
+      colMatch + rels.intersect(t.rels).size.toDouble
+    }
+  }
+
+  /** Seed of the draw of the surfaces the simulated KB knows. */
+  private val KbSeed = 17L
+
   /** Build the simulated KB for a lake: a `coverage` fraction of surfaces is
     * known; text surfaces map to themselves, numeric surfaces to the coarse
     * range class shared by all numeric surfaces of the same flavour.
     */
-  def build(lake: Lake, coverage: Double, seed: Long = 17): SantosLike = {
-    val rnd = new Random(seed)
+  def build(lake: Lake, coverage: Double): SantosLike = {
+    val rnd = new Random(KbSeed)
     val surfaces = lake.colSurfaceType.values.toIndexedSeq.distinct.sorted
     val known    = rnd.shuffle(surfaces).take(math.max(1, (surfaces.size * coverage).round.toInt)).toSet
     // value-string → class lookup, built from the lake itself (SANTOS's

@@ -17,15 +17,14 @@ import scala.util.Random
   * failure mode.
   */
 final class SherlockEncoder(feat: Featurizer,
-                            prototypes: IndexedSeq[Array[Float]],
-                            softmaxTemp: Double) extends ColumnEncoder {
+                            prototypes: IndexedSeq[Array[Float]]) extends ColumnEncoder {
   val name = "sherlock"
   val dim: Int = prototypes.size
 
   private def predict(x: Array[Float]): Array[Float] = {
     val sims = prototypes.map(p => Linalg.cosine(x, p).toDouble)
     val mx   = sims.max
-    val exps = sims.map(s => math.exp((s - mx) / softmaxTemp))
+    val exps = sims.map(s => math.exp((s - mx) / SherlockEncoder.SoftmaxTemp))
     val z    = exps.sum
     Linalg.normalize(exps.map(e => (e / z).toFloat).toArray)
   }
@@ -35,6 +34,13 @@ final class SherlockEncoder(feat: Featurizer,
 }
 
 object SherlockEncoder {
+
+  /** labelled columns sampled per surface type to form its prototype */
+  private val SamplesPerType = 20
+  /** softmax temperature of the type prediction: low, so it is sharp */
+  private val SoftmaxTemp = 0.05
+  /** seed of the known-type draw and the column sampling */
+  private val Seed = 13L
 
   /** Sherlock's column featurization: for textual columns, the shared hashed
     * token + stats features; for *numeric* columns, only the distribution
@@ -60,10 +66,8 @@ object SherlockEncoder {
     * keep a `knownFraction` subset of surfaces as the supervised vocabulary,
     * prototype = mean column-feature vector of that surface's samples.
     */
-  def train(lake: Lake, feat: Featurizer, knownFraction: Double,
-            samplesPerType: Int = 20, softmaxTemp: Double = 0.05,
-            seed: Long = 13): SherlockEncoder = {
-    val rnd = new Random(seed)
+  def train(lake: Lake, feat: Featurizer, knownFraction: Double): SherlockEncoder = {
+    val rnd = new Random(Seed)
     val bySurface = scala.collection.mutable.HashMap[String, scala.collection.mutable.ArrayBuffer[ColumnData]]()
     lake.tables.foreach { t =>
       t.columns.zipWithIndex.foreach { case (c, ci) =>
@@ -77,11 +81,11 @@ object SherlockEncoder {
     val known    = rnd.shuffle(surfaces).take(nKnown)
     val protos = known.map { s =>
       val cols  = bySurface(s)
-      val picks = (0 until math.min(samplesPerType, cols.size)).map(i => cols(rnd.nextInt(cols.size)))
+      val picks = (0 until math.min(SamplesPerType, cols.size)).map(i => cols(rnd.nextInt(cols.size)))
       val acc   = new Array[Float](feat.cfg.colDim)
       picks.foreach(c => Linalg.axpy(1.0f, features(feat, c), acc))
       Linalg.normalize(acc)
     }
-    new SherlockEncoder(feat, protos, softmaxTemp)
+    new SherlockEncoder(feat, protos)
   }
 }

@@ -48,11 +48,17 @@ object ColumnClustering {
     }
   }
 
-  /** Embed all lake columns and precompute the ANN neighbour lists once.
-    * `probe` must exceed the size of a type's column cohort, or near-duplicate
-    * neighbours crowd out the cross-table edges the graph is meant to find.
+  /** Neighbours proposed per column. It must exceed the size of a type's
+    * column cohort, or near-duplicate neighbours crowd out the cross-table
+    * edges the graph is meant to find.
     */
-  def buildGraph(lake: Lake, enc: ColumnEncoder, probe: Int = 150,
+  private val Probe = 150
+
+  /** θ grid searched by [[evaluateAtTargetCount]]: 0.50, 0.54, …, 0.98. */
+  private val ThetaGrid: Seq[Double] = (50 to 98 by 4).map(_ / 100.0)
+
+  /** Embed all lake columns and precompute the ANN neighbour lists once. */
+  def buildGraph(lake: Lake, enc: ColumnEncoder,
                  minTheta: Double = 0.5): (Graph, Map[String, String]) = {
     val keys = mutable.ArrayBuffer[String]()
     val vecs = mutable.ArrayBuffer[Array[Float]]()
@@ -66,7 +72,7 @@ object ColumnClustering {
     val index = new Hnsw(vecs.head.length, m = 12, efConstruction = 80, efSearch = 48)
     vecs.zipWithIndex.foreach { case (v, i) => index.add(i, v) }
     val neighbours = vecs.zipWithIndex.map { case (v, i) =>
-      index.search(v, probe).filter { case (j, s) => j != i && s >= minTheta }
+      index.search(v, Probe).filter { case (j, s) => j != i && s >= minTheta }
     }
     val labels = lake.colContextualType.map { case ((tid, ci), s) => colKey(tid, ci) -> s }
     (new Graph(keys.toIndexedSeq, neighbours.toIndexedSeq), labels)
@@ -84,7 +90,6 @@ object ColumnClustering {
     * the paper's fairness control ("similar numbers of clusters").
     */
   def evaluateAtTargetCount(graph: Graph, labels: Map[String, String],
-                            target: Int,
-                            grid: Seq[Double] = (50 to 98 by 4).map(_ / 100.0)): Result =
-    grid.map(evaluate(graph, labels, _)).minBy(r => math.abs(r.nClusters - target))
+                            target: Int): Result =
+    ThetaGrid.map(evaluate(graph, labels, _)).minBy(r => math.abs(r.nClusters - target))
 }

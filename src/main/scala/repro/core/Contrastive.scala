@@ -11,7 +11,7 @@ import scala.util.Random
   *   ℓ(i,j) = −log [ exp(sim(z_i,z_j)/τ) / Σ_{k≠i,j} exp(sim(z_i,z_k)/τ) ]
   *
   * averaged over the aligned positive pairs, both directions. Gradients are
-  * derived analytically and checked numerically in the tests.
+  * derived analytically in [[step]] and checked numerically in the tests.
   */
 object Contrastive {
 
@@ -33,39 +33,9 @@ object Contrastive {
       dropout: Double = 0.3,
   )
 
-  /** Loss (Eq. 1–3) for embeddings `z` and positive index pairs. Each pair
-    * (i, j) contributes ℓ(i,j) + ℓ(j,i), averaged by 2|P|.
-    */
-  def loss(z: IndexedSeq[Array[Float]], positives: Seq[(Int, Int)], tau: Double): Double = {
-    if (positives.isEmpty) return 0.0
-    val s = simMatrix(z)
-    val directed = positives.flatMap { case (i, j) => Seq((i, j), (j, i)) }
-    val total = directed.iterator.map { case (i, j) =>
-      var denom = 0.0
-      var k = 0
-      while (k < z.size) {
-        if (k != i && k != j) denom += math.exp(s(i)(k) / tau)
-        k += 1
-      }
-      -s(i)(j) / tau + math.log(denom)
-    }.sum
-    total / directed.size
-  }
-
-  private def simMatrix(z: IndexedSeq[Array[Float]]): Array[Array[Double]] = {
-    val n = z.size
-    val s = Array.ofDim[Double](n, n)
-    var i = 0
-    while (i < n) {
-      var j = 0
-      while (j < n) { s(i)(j) = Linalg.dot(z(i), z(j)).toDouble; j += 1 }
-      i += 1
-    }
-    s
-  }
-
   /** One SGD step on W for a batch of inputs `xs` with `positives`.
-    * Returns the batch loss. W is updated in place. When `w0` is given,
+    * Returns the batch loss (Eq. 1–3: each pair (i, j) contributes
+    * ℓ(i,j) + ℓ(j,i), averaged by 2|P|). W is updated in place. When `w0` is given,
     * an L2 anchor `anchor·‖W−W₀‖²/2` is added to the objective.
     */
   def step(w: Array[Array[Float]], xs: IndexedSeq[Array[Float]],
@@ -75,7 +45,7 @@ object Contrastive {
     val n  = xs.size
     val us = xs.map(Linalg.matVec(w, _))
     val zs = us.map(Linalg.normalized)
-    val s  = simMatrix(zs)
+    val s  = Matching.simMatrix(zs, zs)
 
     val directed = positives.flatMap { case (i, j) => Seq((i, j), (j, i)) }
     val scale    = 1.0 / directed.size

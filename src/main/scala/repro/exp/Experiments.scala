@@ -7,8 +7,10 @@ import repro.lake.LakeGen
 import repro.lake.LakeGen.Lake
 import repro.baselines._
 
-/** Shared experiment drivers. Every jobs/ main and every bench suite calls
-  * these, so the bench numbers and the jobs/ numbers are the same code path.
+/** The experiments of Tables 3–6, 8 and Fig 10. Every jobs/ main and every
+  * bench suite calls these (or `Tables`, for the tables whose code does work
+  * of its own), so the bench numbers and the jobs/ numbers are the same code
+  * path.
   */
 object Experiments {
 
@@ -61,68 +63,53 @@ object Experiments {
 
   // ---- online stage --------------------------------------------------------
 
-  sealed trait Mode { def name: String }
-  case object Linear  extends Mode { val name = "Linear" }
-  case object Pruning extends Mode { val name = "Pruning" }
-  case object Lsh     extends Mode { val name = "LSH Index" }
-  case object HnswIdx extends Mode { val name = "HNSW Index" }
+  /** A design choice of Table 5: its label and, for the two index-backed
+    * choices, the column index it queries. Every experiment that builds an
+    * index (Tables 5/6/8, Fig 10) builds it from here.
+    */
+  sealed abstract class Mode(val name: String)
+  sealed abstract class IndexMode(name: String, val mkIndex: Int => VectorIndex) extends Mode(name)
+  case object Linear  extends Mode("Linear")
+  case object Pruning extends Mode("Pruning")
+  case object Lsh     extends IndexMode("LSH", d => new SimHashLsh(d, seed = 7))
+  case object HnswIdx extends IndexMode("HNSW", d => new Hnsw(d, seed = 7))
+  val Modes: Seq[Mode] = Seq(Linear, Pruning, Lsh, HnswIdx)
 
   private type Query = (IndexedSeq[Array[Float]], Int) => Search.Result
 
   /** The one mode dispatch: a top-k query function over `emb` under `mode`,
     * with the mode's searcher and index built once for all its queries.
     */
-  private def queryFn(emb: Embedded, mode: Mode, tau: Double): Query = {
-    val searcher = new UnionSearcher(emb.lake, tau)
-    def indexed(mkIndex: Int => VectorIndex): Query = {
-      val index = Search.buildColumnIndex(emb.lake, mkIndex)
-      searcher.queryWithIndex(_, _, index)
-    }
+  private def queryFn(emb: Embedded, mode: Mode): Query = {
+    val searcher = new UnionSearcher(emb.lake, DefaultTau)
     mode match {
       case Linear  => searcher.queryLinear
       case Pruning => searcher.queryPruning(_, _)
-      case Lsh     => indexed(d => new SimHashLsh(d, seed = 7))
-      case HnswIdx => indexed(d => new Hnsw(d, seed = 7))
+      case m: IndexMode =>
+        val index = Search.buildColumnIndex(emb.lake, m.mkIndex)
+        searcher.queryWithIndex(_, _, index)
     }
   }
 
-  /** Evaluate one embedding-based method on a lake under a search mode. */
-  def evalEmbedding(lake: Lake, emb: Embedded, k: Int, mode: Mode,
-                    tau: Double = DefaultTau,
-                    queries: Option[IndexedSeq[String]] = None): EvalRow = {
-    val query = queryFn(emb, mode, tau)
-    summarize(lake.name, emb.method + modeSuffix(mode), k,
-      queries.getOrElse(lake.queries).map { qid =>
-        val res = query(emb.byId(qid), k)
-        (res.ranked.map(_._1), lake.groundTruth(qid), res.elapsedNanos, res.verifications)
-      })
-  }
-
-  /** Exact modes (Linear, Pruning) return the same results, so neither is named. */
-  private def modeSuffix(mode: Mode): String = mode match {
-    case Linear | Pruning => ""
-    case m                => s"+${m.name}"
-  }
-
-  /** Evaluate the D3L baseline (its own pairwise scorer, linear scan). */
-  def evalD3L(lake: Lake, k: Int): EvalRow = {
-    val byId     = lake.tables.map(t => t.id -> t).toMap
-    val searcher = new D3L.Searcher(lake.tables)
-    summarize(lake.name, "d3l", k, lake.queries.map { qid =>
-      val t0  = System.nanoTime()
-      val res = searcher.query(byId(qid), k)
-      (res.map(_._1), lake.groundTruth(qid), System.nanoTime() - t0, lake.tables.size.toLong)
+  /** Evaluate one embedding-based method on a lake's queries under a search mode. */
+  def evalEmbedding(lake: Lake, emb: Embedded, k: Int, mode: Mode): EvalRow = {
+    val query = queryFn(emb, mode)
+    summarize(lake.name, emb.method, k, lake.queries.map { qid =>
+      val res = query(emb.byId(qid), k)
+      (res.ranked.map(_._1), lake.groundTruth(qid), res.elapsedNanos, res.verifications)
     })
   }
 
-  /** Evaluate the SANTOS baseline (KB classes + relationships). */
-  def evalSantos(lake: Lake, k: Int, kbCoverage: Double): EvalRow = {
-    val byId     = lake.tables.map(t => t.id -> t).toMap
-    val santos   = SantosLike.build(lake, kbCoverage)
-    val searcher = new santos.Searcher(lake.tables)
-    summarize(lake.name, "santos", k, lake.queries.map { qid =>
+  /** Evaluate a baseline with its own table scorer (D3L, SANTOS). `search`
+    * returns the ranked top-k of a query table; each query counts every
+    * lake table as verified.
+    */
+  private def evalBaseline(lake: Lake, method: String, k: Int,
+                           search: TableData => Seq[(String, Double)]): EvalRow = {
+    val byId = lake.tables.map(t => t.id -> t).toMap
+    summarize(lake.name, method, k, lake.queries.map { qid =>
       val t0  = System.nanoTime()
-      val res = searcher.query(byId(qid), k)
+      val res = search(byId(qid))
       (res.map(_._1), lake.groundTruth(qid), System.nanoTime() - t0, lake.tables.size.toLong)
     })
   }
@@ -141,31 +128,37 @@ object Experiments {
 
   // ---- composite experiments ----------------------------------------------
 
+  /** Table 3 result for one benchmark: its lake and trained models (reused
+    * by Tables 4/5/8) and one row per method.
+    */
+  final case class Effectiveness(profile: Profile, lake: Lake, models: LakeModels,
+                                 rows: Seq[EvalRow])
+
   /** Table 3: all six methods on one effectiveness benchmark. */
   def effectiveness(profile: Profile,
-                    trainCfg: Contrastive.TrainConfig = Contrastive.TrainConfig())
-      : (Lake, LakeModels, Seq[EvalRow]) = {
+                    trainCfg: Contrastive.TrainConfig = Contrastive.TrainConfig()): Effectiveness = {
     val lake   = LakeGen.generate(profile.cfg)
     val models = trainModels(lake, profile, trainCfg)
     val k      = profile.k
+    def embedded(enc: ColumnEncoder) = evalEmbedding(lake, embedLake(lake, enc), k, Pruning)
     val rows = scala.collection.mutable.ArrayBuffer[EvalRow]()
-    rows += evalEmbedding(lake, embedLake(lake, models.singleCol), k, Pruning)
-    rows += evalEmbedding(lake, embedLake(lake, models.sato), k, Pruning)
-    rows += evalEmbedding(lake, embedLake(lake, models.sherlock), k, Pruning)
-    if (profile.santosAvailable) rows += evalSantos(lake, k, profile.santosKbCoverage)
-    rows += evalD3L(lake, k)
-    rows += evalEmbedding(lake, embedLake(lake, models.starmie), k, Pruning)
-    (lake, models, rows.toSeq)
+    rows += embedded(models.singleCol)
+    rows += embedded(models.sato)
+    rows += embedded(models.sherlock)
+    if (profile.santosAvailable) {
+      val kb     = SantosLike.build(lake, profile.santosKbCoverage)
+      val santos = new kb.Searcher(lake.tables)
+      rows += evalBaseline(lake, "santos", k, santos.query(_, k))
+    }
+    val d3l = new D3L.Searcher(lake.tables)
+    rows += evalBaseline(lake, "d3l", k, d3l.query(_, k))
+    rows += embedded(models.starmie)
+    Effectiveness(profile, lake, models, rows.toSeq)
   }
 
   /** Tables 5/8: the four design choices for a given embedding. */
-  def designChoices(lake: Lake, emb: Embedded, k: Int): Seq[EvalRow] =
-    Seq(
-      evalEmbedding(lake, emb, k, Linear).copy(method = s"${emb.method}/Linear"),
-      evalEmbedding(lake, emb, k, Pruning).copy(method = s"${emb.method}/Pruning"),
-      evalEmbedding(lake, emb, k, Lsh).copy(method = s"${emb.method}/LSH"),
-      evalEmbedding(lake, emb, k, HnswIdx).copy(method = s"${emb.method}/HNSW"),
-    )
+  def designChoices(lake: Lake, emb: Embedded, k: Int): Seq[(Mode, EvalRow)] =
+    Modes.map(mode => mode -> evalEmbedding(lake, emb, k, mode))
 
   /** Table 4: MAP vs number of negative classes on micro-lakes. The encoder
     * is re-trained *on each micro-lake* — that is the experiment's point:
@@ -181,8 +174,8 @@ object Experiments {
       val micro = LakeGen.microLake(base, c)
       val w     = Contrastive.trainMultiColumn(micro.tables, feat, trainCfg)
       val microEmb = embedLake(micro, new StarmieEncoder(feat, w))
-      val r60  = evalEmbedding(micro, microEmb, 60, Pruning, queries = Some(micro.queries))
-      val r120 = evalEmbedding(micro, microEmb, 120, Pruning, queries = Some(micro.queries))
+      val r60  = evalEmbedding(micro, microEmb, 60, Pruning)
+      val r120 = evalEmbedding(micro, microEmb, 120, Pruning)
       (c, r60.map, r120.map)
     }
   }
@@ -190,23 +183,18 @@ object Experiments {
   /** Table 6: memory usage of the design choices relative to lake size. */
   final case class MemoryRow(method: String, memBytes: Long, overheadPct: Double)
   def memoryOverhead(lake: Lake, emb: Embedded): Seq[MemoryRow] = {
-    val dim = emb.lake.head._2.head.length
-    val embBytes = lake.totalColumns.toLong * dim * 4L
-    val lsh  = Search.buildColumnIndex(emb.lake, d => new SimHashLsh(d))
-    val hnsw = Search.buildColumnIndex(emb.lake, d => new Hnsw(d))
     val lakeBytes = lake.sizeBytes.toDouble
-    Seq(
-      MemoryRow("No Index", embBytes, 100.0 * embBytes / lakeBytes),
-      MemoryRow("LSH Index", lsh.memoryBytes, 100.0 * lsh.memoryBytes / lakeBytes),
-      MemoryRow("HNSW Index", hnsw.memoryBytes, 100.0 * hnsw.memoryBytes / lakeBytes),
-    )
+    def row(method: String, bytes: Long) = MemoryRow(method, bytes, 100.0 * bytes / lakeBytes)
+    val dim = emb.lake.head._2.head.length
+    row("No Index", lake.totalColumns.toLong * dim * 4L) +:
+      Seq(Lsh, HnswIdx).map(m => row(m.name, Search.buildColumnIndex(emb.lake, m.mkIndex).memoryBytes))
   }
 
   /** Fig 10: average query time of the four design choices as the lake
     * grows. Returns (size, mode, avgMillis, avgVerifications).
     */
   def scalability(lake: Lake, emb: Embedded, k: Int, sizes: Seq[Int],
-                  nQueries: Int = 10): Seq[(Int, String, Double, Double)] = {
+                  nQueries: Int = 10): Seq[(Int, Mode, Double, Double)] = {
     val queries = lake.queries.take(nQueries)
     sizes.flatMap { n =>
       val subset    = emb.lake.take(n)
@@ -214,12 +202,12 @@ object Experiments {
       // every query must be present in the sub-lake
       val subLake = subset ++ queries.filterNot(subsetIds.contains).map(q => q -> emb.byId(q))
       val subEmb  = Embedded(emb.method, subLake)
-      Seq(Linear, Pruning, Lsh, HnswIdx).map { mode =>
-        val query   = queryFn(subEmb, mode, DefaultTau)
+      Modes.map { mode =>
+        val query   = queryFn(subEmb, mode)
         val results = queries.map(qid => query(emb.byId(qid), k))
         val ms  = results.map(_.elapsedNanos.toDouble / 1e6)
         val ver = results.map(_.verifications.toDouble)
-        (n, mode.name, Metrics.mean(ms), Metrics.mean(ver))
+        (n, mode, Metrics.mean(ms), Metrics.mean(ver))
       }
     }
   }

@@ -3,14 +3,17 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.cluster.ColumnClustering
 import repro.core._
-import repro.lake.{Benchmarks, LakeGen}
+import repro.exp.Experiments.{Effectiveness, Embedded, MemoryRow, Mode}
+import repro.lake.LakeGen
 import repro.lake.Benchmarks.Profile
 import repro.lake.LakeGen.Lake
 import repro.ml.DataDiscoveryML
 
-/** One driver per paper table. Each returns structured rows (asserted by the
-  * bench suites) plus a pretty renderer (printed by bench suites and jobs/
-  * mains alike), so bench output and jobs/ output share a code path.
+/** The paper tables whose code does work of its own (Tables 2, 5/8, 7 and
+  * 10), plus one renderer per paper table. The table functions
+  * return structured rows (asserted by the bench suites); the renderers are
+  * printed by bench suites and jobs/ mains alike, so bench output and jobs/
+  * output share a code path.
   */
 object Tables {
 
@@ -35,16 +38,7 @@ object Tables {
 
   // ---- Table 3: effectiveness ----------------------------------------------
 
-  final case class T3Result(profile: Profile, lake: Lake,
-                            models: Experiments.LakeModels,
-                            rows: Seq[Experiments.EvalRow])
-
-  def table3(profile: Profile): T3Result = {
-    val (lake, models, rows) = Experiments.effectiveness(profile)
-    T3Result(profile, lake, models, rows)
-  }
-
-  def renderT3(results: Seq[T3Result]): String = {
+  def renderT3(results: Seq[Effectiveness]): String = {
     val sb = new StringBuilder
     sb ++= "| Benchmark | Method | MAP@k | R@k | IDEAL R@k | k |\n|---|---|---|---|---|---|\n"
     results.foreach { res =>
@@ -57,9 +51,6 @@ object Tables {
 
   // ---- Table 4: negative-class micro-benchmark -----------------------------
 
-  def table4(base: Lake, feat: Featurizer): Seq[(Int, Double, Double)] =
-    Experiments.negativeClasses(base, feat)
-
   def renderT4(rows: Seq[(Int, Double, Double)]): String =
     ("| # Negative Classes | MAP@60 | MAP@120 |" :: "|---|---|---|" ::
       rows.toList.map { case (c, m60, m120) => f"| $c | $m60%.3f | $m120%.3f |" })
@@ -67,15 +58,14 @@ object Tables {
 
   // ---- Tables 5 & 8: design choices × methods -------------------------------
 
-  final case class T58Row(method: String, technique: String, map: Double,
+  final case class T58Row(method: String, technique: Mode, map: Double,
                           p: Double, r: Double, queryMs: Double)
 
   /** For each named embedding, run the four design choices. */
-  def table58(lake: Lake, embeddings: Seq[Experiments.Embedded], k: Int): Seq[T58Row] =
+  def table58(lake: Lake, embeddings: Seq[Embedded], k: Int): Seq[T58Row] =
     embeddings.flatMap { emb =>
-      Experiments.designChoices(lake, emb, k).map { row =>
-        val technique = row.method.split('/').last
-        T58Row(emb.method, technique, row.map, row.p, row.r, row.avgQueryMillis)
+      Experiments.designChoices(lake, emb, k).map { case (mode, row) =>
+        T58Row(emb.method, mode, row.map, row.p, row.r, row.avgQueryMillis)
       }
     }
 
@@ -83,15 +73,12 @@ object Tables {
     ("| Method | Technique | MAP@10 | P@10 | R@10 | Query Time (ms) |" ::
      "|---|---|---|---|---|---|" ::
      rows.toList.map(r =>
-       f"| ${r.method} | ${r.technique} | ${r.map}%.3f | ${r.p}%.3f | ${r.r}%.3f | ${r.queryMs}%.1f |"))
+       f"| ${r.method} | ${r.technique.name} | ${r.map}%.3f | ${r.p}%.3f | ${r.r}%.3f | ${r.queryMs}%.1f |"))
       .mkString("\n")
 
   // ---- Table 6: memory overhead ---------------------------------------------
 
-  def table6(lake: Lake, emb: Experiments.Embedded): Seq[Experiments.MemoryRow] =
-    Experiments.memoryOverhead(lake, emb)
-
-  def renderT6(lakeMb: Double, rows: Seq[Experiments.MemoryRow]): String =
+  def renderT6(lakeMb: Double, rows: Seq[MemoryRow]): String =
     (f"Data lake size: $lakeMb%.1f MB" ::
      "| Method | Memory Usage (MB) | Space Overhead |" :: "|---|---|---|" ::
      rows.toList.map(r =>
@@ -103,14 +90,19 @@ object Tables {
   final case class T7Result(tasks: IndexedSeq[DataDiscoveryML.TaskResult],
                             summary: DataDiscoveryML.Summary)
 
-  def table7(spark: SparkSession, nTasks: Int, rows: Int,
-             trainCfg: Contrastive.TrainConfig): T7Result = {
-    val ml = DataDiscoveryML.generate(nTasks, rows)
+  /** Encoder training of the ML case study: at most 200 steps over its
+    * 100-table corpus (75 lake tables and the 25 query tables).
+    */
+  private val Table7Train = Contrastive.TrainConfig(maxSteps = 200, epochs = 40)
+
+  /** Tables 7/11 on the paper's 25 tasks, 200 query rows each. */
+  def table7(spark: SparkSession): T7Result = {
+    val ml = DataDiscoveryML.generate(nTasks = 25, rows = 200)
     // train the contextualized encoder on the ML lake (queries included, as
     // WDC query tables are lake members in the paper's case study)
     val feat = new Featurizer()
     val corpus = ml.lake ++ ml.tasks.map(_.query)
-    val w = Contrastive.trainMultiColumn(corpus, feat, trainCfg)
+    val w = Contrastive.trainMultiColumn(corpus, feat, Table7Train)
     val enc = new StarmieEncoder(feat, w)
     val results = DataDiscoveryML.runAll(spark, ml, enc)
     T7Result(results, DataDiscoveryML.summarize(results))
@@ -174,22 +166,16 @@ object Tables {
 
   // ---- Fig 10: scalability ---------------------------------------------------
 
-  def fig10(lake: Lake, emb: Experiments.Embedded, k: Int,
-            sizes: Seq[Int], nQueries: Int): Seq[(Int, String, Double, Double)] =
-    Experiments.scalability(lake, emb, k, sizes, nQueries)
-
-  def renderFig10(rows: Seq[(Int, String, Double, Double)]): String =
+  def renderFig10(rows: Seq[(Int, Mode, Double, Double)]): String =
     ("| Lake size (tables) | Technique | Avg query (ms) | Avg verifications |" ::
      "|---|---|---|---|" ::
-     rows.toList.map { case (n, mode, ms, v) => f"| $n | $mode | $ms%.2f | $v%.0f |" })
+     rows.toList.map { case (n, mode, ms, v) => f"| $n | ${mode.name} | $ms%.2f | $v%.0f |" })
       .mkString("\n")
 
   // ---- shared helpers --------------------------------------------------------
 
   /** All four embedding methods for a lake, as Embedded lakes. */
-  def allEmbeddings(lake: Lake, models: Experiments.LakeModels): Seq[Experiments.Embedded] =
+  def allEmbeddings(lake: Lake, models: Experiments.LakeModels): Seq[Embedded] =
     Seq(models.starmie, models.sato, models.sherlock, models.singleCol)
       .map(enc => Experiments.embedLake(lake, enc))
-
-  def defaultEffectivenessProfiles: Seq[Profile] = Benchmarks.effectiveness
 }

@@ -4,6 +4,7 @@ import org.apache.spark.ml.feature.VectorAssembler
 import org.apache.spark.ml.regression.GBTRegressor
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.baselines.D3L
 import repro.core._
 import scala.util.Random
 import scala.util.hashing.MurmurHash3
@@ -137,10 +138,6 @@ object DataDiscoveryML {
     best.filter(_._4 > 0).map { case (tid, qi, tj, _) => (tid, qi, tj) }
   }
 
-  def jaccard(a: Set[String], b: Set[String]): Double =
-    if (a.isEmpty && b.isEmpty) 0.0
-    else a.intersect(b).size.toDouble / a.union(b).size
-
   def overlap(a: Set[String], b: Set[String]): Double =
     a.intersect(b).size.toDouble
 
@@ -224,8 +221,10 @@ object DataDiscoveryML {
       .agg(first("value"))
   }
 
+  private val GbtSeed = 5L
+
   /** Train a GBT regressor on a 4:1 split and return the test MSE. */
-  def mse(spark: SparkSession, t: TableData, targetCol: Int, seed: Long = 5): Double = {
+  def mse(spark: SparkSession, t: TableData, targetCol: Int): Double = {
     val df   = featurize(spark, t, targetCol).cache()
     val cols = df.columns.filter(c => c != "row_id" && c != "label")
     val assembled = new VectorAssembler()
@@ -234,7 +233,7 @@ object DataDiscoveryML {
     val train = assembled.filter(pmod(col("row_id"), lit(5)) =!= 0)
     val test  = assembled.filter(pmod(col("row_id"), lit(5)) === 0)
     val model = new GBTRegressor()
-      .setMaxIter(12).setMaxDepth(4).setSeed(seed)
+      .setMaxIter(12).setMaxDepth(4).setSeed(GbtSeed)
       .setLabelCol("label").setFeaturesCol("features")
       .fit(train)
     val preds = model.transform(test)
@@ -253,7 +252,7 @@ object DataDiscoveryML {
 
   def runAll(spark: SparkSession, ml: MlLake, enc: ColumnEncoder): IndexedSeq[TaskResult] =
     ml.tasks.map { task =>
-      val rJac = retrieveByTokenSim(task, ml.lake, jaccard)
+      val rJac = retrieveByTokenSim(task, ml.lake, D3L.jaccard)
       val rOvl = retrieveByTokenSim(task, ml.lake, overlap)
       val rStar = retrieveStarmie(task, ml.lake, enc)
       TaskResult(task.id, task.query.numRows,

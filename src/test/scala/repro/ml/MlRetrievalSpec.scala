@@ -1,6 +1,7 @@
 package repro.ml
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.baselines.D3L
 import repro.core._
 
 /** Retrieval-policy tests for the ML case study that need no SparkSession. */
@@ -10,7 +11,7 @@ class MlRetrievalSpec extends AnyFunSuite {
 
   test("low-cardinality columns are never chosen as join keys") {
     ml.tasks.foreach { task =>
-      Seq(DataDiscoveryML.jaccard _, DataDiscoveryML.overlap _).foreach { score =>
+      Seq(D3L.jaccard _, DataDiscoveryML.overlap _).foreach { score =>
         DataDiscoveryML.retrieveByTokenSim(task, ml.lake, score).foreach {
           case (tid, _, tj) =>
             val keyCol = ml.lake.find(_.id == tid).get.columns(tj)
@@ -35,7 +36,7 @@ class MlRetrievalSpec extends AnyFunSuite {
     val rel  = ml.lake.find(_.id == task.relevantId).get
     val qParty = task.query.columns.find(_.name == "party").get.tokenSet
     val rParty = rel.columns.find(_.name == "party").get.tokenSet
-    assert(DataDiscoveryML.jaccard(qParty, rParty) < 1.0)
+    assert(D3L.jaccard(qParty, rParty) < 1.0)
   }
 
   test("starmie retrieval with an untrained encoder returns a valid pair") {
