@@ -22,23 +22,22 @@ final class SantosLike(classesOf: TableData => IndexedSeq[Option[String]]) {
 
   def annotate(t: TableData): IndexedSeq[Option[String]] = classesOf(t)
 
-  def classMultiset(t: TableData): Map[String, Int] =
-    annotate(t).flatten.groupBy(identity).view.mapValues(_.size).toMap
+  /** SANTOS unionability score between two (annotated) tables. */
+  def score(q: TableData, t: TableData): Double = annotated(q).score(annotated(t))
 
-  def relationships(t: TableData): Set[(String, String)] = {
+  /** Column classes and binary relationships (unordered class pairs
+    * co-occurring in the table) from one annotation of `t`.
+    */
+  private def annotated(t: TableData): SantosLike.Annotated = {
     val cls = annotate(t).flatten
-    (for {
+    val rels = for {
       i <- cls.indices; j <- cls.indices if i < j
     } yield {
       val (a, b) = (cls(i), cls(j))
       if (a <= b) (a, b) else (b, a)
-    }).toSet
+    }
+    SantosLike.Annotated(cls.groupBy(identity).view.mapValues(_.size).toMap, rels.toSet)
   }
-
-  /** SANTOS unionability score between two (annotated) tables. */
-  def score(q: TableData, t: TableData): Double = annotated(q).score(annotated(t))
-
-  private def annotated(t: TableData) = SantosLike.Annotated(classMultiset(t), relationships(t))
 
   /** Lake searcher with per-table annotations precomputed once. */
   final class Searcher(lake: IndexedSeq[TableData]) {

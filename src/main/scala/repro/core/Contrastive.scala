@@ -33,19 +33,25 @@ object Contrastive {
       dropout: Double = 0.3,
   )
 
-  /** One SGD step on W for a batch of inputs `xs` with `positives`.
-    * Returns the batch loss (Eq. 1–3: each pair (i, j) contributes
-    * ℓ(i,j) + ℓ(j,i), averaged by 2|P|). W is updated in place. When `w0` is given,
-    * an L2 anchor `anchor·‖W−W₀‖²/2` is added to the objective.
+  /** One SGD step on W for a batch of inputs `xs` (the non-zero entries of
+    * each input vector) with `positives`. Returns the batch loss (Eq. 1–3:
+    * each pair (i, j) contributes ℓ(i,j) + ℓ(j,i), averaged by 2|P|). W is
+    * updated in place. When `w0` is given, an L2 anchor `anchor·‖W−W₀‖²/2`
+    * is added to the objective. Each input's one index list drives both the
+    * forward W·x and its rank-1 gradient update; for a finite W the step
+    * has the bits of the dense computation (DESIGN.md §3).
     */
-  def step(w: Array[Array[Float]], xs: IndexedSeq[Array[Float]],
+  def step(w: Array[Array[Float]], xs: IndexedSeq[Linalg.SparseVec],
            positives: Seq[(Int, Int)], tau: Double, lr: Double,
            anchor: Double = 0.0, w0: Array[Array[Float]] = null): Double = {
     if (positives.isEmpty) return 0.0
-    val n  = xs.size
-    val us = xs.map(Linalg.matVec(w, _))
-    val zs = us.map(Linalg.normalized)
-    val s  = Matching.simMatrix(zs, zs)
+    val n   = xs.size
+    val d   = w.length
+    val us  = xs.map(Linalg.matVecSparse(w, _))
+    val zs  = us.map(Linalg.normalized)
+    val s   = Matching.simMatrix(zs, zs)
+    // exp(s_ik / τ), computed once for the denominator and the gradient
+    val e   = s.map(_.map(v => math.exp(v / tau)))
 
     val directed = positives.flatMap { case (i, j) => Seq((i, j), (j, i)) }
     val scale    = 1.0 / directed.size
@@ -56,24 +62,28 @@ object Contrastive {
       var denom = 0.0
       var k = 0
       while (k < n) {
-        if (k != i && k != j) denom += math.exp(s(i)(k) / tau)
+        if (k != i && k != j) denom += e(i)(k)
         k += 1
       }
       lossAcc += (-s(i)(j) / tau + math.log(denom)) * scale
       g(i)(j) += -scale / tau
       k = 0
       while (k < n) {
-        if (k != i && k != j) g(i)(k) += scale / tau * math.exp(s(i)(k) / tau) / denom
+        if (k != i && k != j) g(i)(k) += scale / tau * e(i)(k) / denom
         k += 1
       }
     }
 
     // back-prop: ∂L/∂z_i = Σ_j (g_ij + g_ji) z_j ; through the normalization
-    // ∂L/∂u_i = (∂L/∂z_i − (∂L/∂z_i·z_i) z_i) / ‖u_i‖ ; then rank-1 into W.
-    val gradW = Linalg.zeros(w.length, w(0).length)
+    // ∂L/∂u_i = (∂L/∂z_i − (∂L/∂z_i·z_i) z_i) / ‖u_i‖ ; then rank-1 into W,
+    // accumulated transposed: gradT(c) is column c of ∂L/∂W, allocated when
+    // an input first has a non-zero entry c
+    val gradT = new Array[Array[Float]](w(0).length)
+    val dz    = new Array[Float](d)
+    val du    = new Array[Float](d)
     var i = 0
     while (i < n) {
-      val dz = new Array[Float](zs(i).length)
+      java.util.Arrays.fill(dz, 0.0f)
       var j = 0
       while (j < n) {
         val c = (g(i)(j) + g(j)(i)).toFloat
@@ -82,19 +92,20 @@ object Contrastive {
       }
       val uNorm = math.max(Linalg.norm(us(i)), 1e-8f)
       val proj  = Linalg.dot(dz, zs(i))
-      val du    = new Array[Float](dz.length)
       var r = 0
-      while (r < dz.length) { du(r) = (dz(r) - proj * zs(i)(r)) / uNorm; r += 1 }
-      Linalg.outerAdd(gradW, 1.0f, du, xs(i))
+      while (r < d) { du(r) = (dz(r) - proj * zs(i)(r)) / uNorm; r += 1 }
+      Linalg.outerAddSparse(gradT, du, xs(i))
       i += 1
     }
+    val anchored = w0 != null && anchor > 0
     i = 0
-    while (i < w.length) {
+    while (i < d) {
+      val wi = w(i)
       var c = 0
-      while (c < w(i).length) {
-        val anchorGrad =
-          if (w0 != null && anchor > 0) anchor * (w(i)(c) - w0(i)(c)) else 0.0
-        w(i)(c) -= (lr * (gradW(i)(c) + anchorGrad)).toFloat
+      while (c < wi.length) {
+        val grad       = if (gradT(c) == null) 0.0f else gradT(c)(i)
+        val anchorGrad = if (anchored) anchor * (wi(c) - w0(i)(c)) else 0.0
+        wi(c) -= (lr * (grad + anchorGrad)).toFloat
         c += 1
       }
       i += 1
@@ -102,13 +113,28 @@ object Contrastive {
     lossAcc
   }
 
-  /** Per-example inverted dropout mask for the training inputs. */
-  private def applyDropout(x: Array[Float], p: Double, rnd: Random): Array[Float] =
-    if (p <= 0) x
+  /** Per-example inverted dropout of a training input, returned as its
+    * non-zero entries. One draw per entry, zero or not, in index order, so
+    * the stream is the one a dense mask over `x` would draw.
+    */
+  private def dropout(x: Array[Float], p: Double, rnd: Random): Linalg.SparseVec =
+    if (p <= 0) Linalg.sparse(x)
     else {
       val scale = (1.0 / (1.0 - p)).toFloat
-      x.map(v => if (rnd.nextDouble() < p) 0.0f else v * scale)
+      val idx = new Array[Int](x.length); val vals = new Array[Float](x.length)
+      var n = 0; var i = 0
+      while (i < x.length) {
+        if (rnd.nextDouble() >= p) {
+          val v = x(i) * scale
+          if (v != 0.0f) { idx(n) = i; vals(n) = v; n += 1 }
+        }
+        i += 1
+      }
+      new Linalg.SparseVec(java.util.Arrays.copyOf(idx, n), java.util.Arrays.copyOf(vals, n))
     }
+
+  /** The trainers' random stream: the same draws as `new Random(seed)`. */
+  private def trainingRandom(seed: Long): Random = new Random(new Linalg.UnsharedRandom(seed))
 
   /** Multi-column training (paper §3.3): batches are whole tables; the
     * augmentation operator produces an aligned view; positives are the
@@ -118,7 +144,7 @@ object Contrastive {
     */
   def trainMultiColumn(tables: Seq[TableData], feat: Featurizer,
                        cfg: TrainConfig = TrainConfig()): Array[Array[Float]] = {
-    val rnd = new Random(cfg.seed)
+    val rnd = trainingRandom(cfg.seed)
     val w0  = Linalg.randomMatrix(cfg.embedDim, feat.cfg.contextDim, cfg.seed + 1)
     val w   = w0.map(_.clone())
     val op  = Augment.byName(cfg.op)
@@ -128,14 +154,21 @@ object Contrastive {
       val shuffled = rnd.shuffle(tables.toIndexedSeq)
       shuffled.grouped(cfg.batchTables).foreach { batch =>
         if (steps < cfg.maxSteps) {
-          val xs  = scala.collection.mutable.ArrayBuffer[Array[Float]]()
+          val xs  = scala.collection.mutable.ArrayBuffer[Linalg.SparseVec]()
           val pos = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
           batch.foreach { t =>
             val view    = op(t, rnd)
+            val own     = t.columns.map(feat.columnFeatures)
+            // a view column that is the original's column object has its features
+            val viewOwn = view.table.columns.indices.map { a =>
+              val c = view.table.columns(a)
+              val o = view.alignment(a)
+              if (c eq t.columns(o)) own(o) else feat.columnFeatures(c)
+            }
             val oriBase = xs.size
-            xs ++= feat.tableInputs(t).map(applyDropout(_, cfg.dropout, rnd))
+            xs ++= feat.contextualInputs(own).map(dropout(_, cfg.dropout, rnd))
             val augBase = xs.size
-            xs ++= feat.tableInputs(view.table).map(applyDropout(_, cfg.dropout, rnd))
+            xs ++= feat.contextualInputs(viewOwn).map(dropout(_, cfg.dropout, rnd))
             view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
               pos += ((oriBase + origIdx, augBase + augIdx))
             }
@@ -156,7 +189,7 @@ object Contrastive {
     */
   def trainSingleColumn(tables: Seq[TableData], feat: Featurizer,
                         cfg: TrainConfig = TrainConfig()): Array[Array[Float]] = {
-    val rnd  = new Random(cfg.seed)
+    val rnd  = trainingRandom(cfg.seed)
     val w0   = Linalg.randomMatrix(cfg.embedDim, feat.cfg.colDim, cfg.seed + 1)
     val w    = w0.map(_.clone())
     val cols = tables.flatMap(_.columns).toIndexedSeq
@@ -168,13 +201,13 @@ object Contrastive {
       shuffled.grouped(batchCols).foreach { batch =>
         if (steps < cfg.maxSteps) {
           val n = batch.size
-          val xs = scala.collection.mutable.ArrayBuffer[Array[Float]]()
-          batch.foreach(c => xs += applyDropout(feat.columnFeatures(c), cfg.dropout, rnd))
+          val xs = scala.collection.mutable.ArrayBuffer[Linalg.SparseVec]()
+          batch.foreach(c => xs += dropout(feat.columnFeatures(c), cfg.dropout, rnd))
           batch.foreach { c =>
             val keepN = math.max(1, c.values.size / 2)
             val aug   = ColumnData(c.name,
               rnd.shuffle(c.values).take(keepN))
-            xs += applyDropout(feat.columnFeatures(aug), cfg.dropout, rnd)
+            xs += dropout(feat.columnFeatures(aug), cfg.dropout, rnd)
           }
           val pos = (0 until n).map(i => (i, i + n))
           step(w, xs.toIndexedSeq, pos, cfg.temperature, cfg.lr,

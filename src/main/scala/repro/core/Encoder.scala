@@ -13,16 +13,18 @@ trait ColumnEncoder extends Serializable {
 
 /** Starmie's contextualized multi-column encoder (§3.3): input is
   * [own features ; sibling-context features], projected by the
-  * contrastively-trained W and normalized.
+  * contrastively-trained W and normalized. W·x runs over the non-zero
+  * entries of x, which needs a finite W to give the dense bits.
   */
 final class StarmieEncoder(feat: Featurizer, w: Array[Array[Float]])
     extends ColumnEncoder {
   require(w.nonEmpty && w(0).length == feat.cfg.contextDim,
     s"W must be d×${feat.cfg.contextDim}")
+  require(Linalg.isFinite(w), "W must be finite")
   val name = "starmie"
   val dim: Int = w.length
   def encodeTable(t: TableData): IndexedSeq[Array[Float]] =
-    feat.tableInputs(t).map(x => Linalg.normalize(Linalg.matVec(w, x)))
+    feat.tableInputs(t).map(x => Linalg.normalize(Linalg.matVecSparse(w, Linalg.sparse(x))))
 }
 
 /** Starmie without table context (§3.2 / the SingleCol baseline of §5.1.4). */
@@ -30,8 +32,9 @@ final class SingleColEncoder(feat: Featurizer, w: Array[Array[Float]])
     extends ColumnEncoder {
   require(w.nonEmpty && w(0).length == feat.cfg.colDim,
     s"W must be d×${feat.cfg.colDim}")
+  require(Linalg.isFinite(w), "W must be finite")
   val name = "singlecol"
   val dim: Int = w.length
   def encodeTable(t: TableData): IndexedSeq[Array[Float]] =
-    t.columns.map(c => Linalg.normalize(Linalg.matVec(w, feat.columnFeatures(c))))
+    t.columns.map(c => Linalg.normalize(Linalg.matVecSparse(w, Linalg.sparse(feat.columnFeatures(c)))))
 }

@@ -52,21 +52,34 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
     if (vs.isEmpty) return s
     def squash(x: Double): Float = math.tanh(x).toFloat
     val lens = vs.map(v => if (v == null) 0 else v.length.toDouble)
-    val nTok = vs.map(v => Tokenizer.tokenize(v).size.toDouble)
     val mean = lens.sum / lens.size
     val varL = lens.map(l => (l - mean) * (l - mean)).sum / lens.size
-    val chars    = vs.iterator.filter(_ != null).flatMap(_.iterator).toSeq
-    val nChars   = math.max(1, chars.size)
+    // character counts over the non-null cells
+    var nChar = 0; var nDigit = 0; var nLetter = 0
+    vs.foreach { v =>
+      if (v != null) {
+        nChar += v.length
+        var i = 0
+        while (i < v.length) {
+          val ch = v.charAt(i)
+          if (ch.isDigit) nDigit += 1
+          if (ch.isLetter) nLetter += 1
+          i += 1
+        }
+      }
+    }
+    val nChars   = math.max(1, nChar)
     val nums     = vs.filter(Tokenizer.isNumeric).map(_.toDouble)
     def logSym(x: Double): Double = math.signum(x) * math.log1p(math.abs(x))
     s(0) = squash(math.log1p(vs.size.toDouble) / 5.0)
     s(1) = squash(mean / 20.0)
     s(2) = squash(math.sqrt(varL) / 20.0)
     s(3) = c.numericFraction.toFloat
-    s(4) = squash(nTok.sum / nTok.size / 5.0)
+    // tokens per cell: c.tokens holds every cell's tokens, in cell order
+    s(4) = squash(c.tokens.size.toDouble / vs.size / 5.0)
     s(5) = (vs.distinct.size.toDouble / vs.size).toFloat
-    s(6) = (chars.count(_.isDigit).toDouble / nChars).toFloat
-    s(7) = (chars.count(_.isLetter).toDouble / nChars).toFloat
+    s(6) = (nDigit.toDouble / nChars).toFloat
+    s(7) = (nLetter.toDouble / nChars).toFloat
     if (nums.nonEmpty) {
       val nm = nums.sum / nums.size
       val nv = nums.map(x => (x - nm) * (x - nm)).sum / nums.size
@@ -109,9 +122,15 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
   /** Contextualized encoder inputs for every column of a table:
     * x_i = [own_i ; ctxWeight · context_i], dimension [[FeatConfig.contextDim]].
     */
-  def tableInputs(t: TableData): IndexedSeq[Array[Float]] = {
-    val own = t.columns.map(columnFeatures)
-    t.columns.indices.map { i =>
+  def tableInputs(t: TableData): IndexedSeq[Array[Float]] =
+    contextualInputs(t.columns.map(columnFeatures))
+
+  /** [[tableInputs]] from the columns' own feature blocks, in column order:
+    * lets a caller that already holds some columns' [[columnFeatures]]
+    * rebuild only the context blocks.
+    */
+  def contextualInputs(own: IndexedSeq[Array[Float]]): IndexedSeq[Array[Float]] =
+    own.indices.map { i =>
       val x = new Array[Float](cfg.contextDim)
       System.arraycopy(own(i), 0, x, 0, cfg.colDim)
       val ctx = contextFeatures(own, i)
@@ -119,7 +138,6 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
       while (k < cfg.colDim) { x(cfg.colDim + k) = cfg.ctxWeight * ctx(k); k += 1 }
       x
     }
-  }
 
   /** Whole-table token distribution — the SATO "topic" stand-in. */
   def tableTopic(t: TableData): Array[Float] =

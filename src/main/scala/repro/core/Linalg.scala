@@ -1,9 +1,11 @@
 package repro.core
 
-/** Minimal dense float linear algebra used by the encoders, the contrastive
+/** Minimal float linear algebra used by the encoders, the contrastive
   * trainer, and the vector indexes. Everything is plain arrays — no external
   * math dependency is available offline, and the shapes are tiny (embedding
-  * dim ≤ 128, feature dim ≤ ~1100).
+  * dim ≤ 128, feature dim ≤ ~1100). The encoder inputs are sparse (about a
+  * quarter of their entries are non-zero), so W·x and the trainer's rank-1
+  * update run over each input's non-zero entries, with the dense bits.
   */
 object Linalg {
 
@@ -76,31 +78,113 @@ object Linalg {
     while (i < x.length) { y(i) += alpha * x(i); i += 1 }
   }
 
-  /** y = W x for a row-major matrix W (rows × cols). */
-  def matVec(w: Array[Array[Float]], x: Array[Float]): Array[Float] = {
+  /** The non-zero entries of a vector x: `idx` ascending, `vals(k) = x(idx(k))`.
+    * Entries equal to ±0 are left out.
+    */
+  final class SparseVec(val idx: Array[Int], val vals: Array[Float])
+
+  /** The non-zero entries of `x`, in ascending index order. */
+  def sparse(x: Array[Float]): SparseVec = {
+    var n = 0; var i = 0
+    while (i < x.length) { if (x(i) != 0.0f) n += 1; i += 1 }
+    val idx = new Array[Int](n); val vals = new Array[Float](n)
+    n = 0; i = 0
+    while (i < x.length) {
+      if (x(i) != 0.0f) { idx(n) = i; vals(n) = x(i); n += 1 }
+      i += 1
+    }
+    new SparseVec(idx, vals)
+  }
+
+  /** y = W x for a row-major matrix W (rows × cols) and the non-zero entries
+    * of x. Row r sums w(r)(j) * x(j) over the non-zero j in ascending order,
+    * so when W is finite every y(r) has the bits of the dense sum over all
+    * j: a skipped term is a ±0 product, and an accumulator that starts at +0
+    * never becomes −0, so adding ±0 never changes it. Blocks of 4 rows share
+    * each index load and keep 4 independent accumulators.
+    */
+  def matVecSparse(w: Array[Array[Float]], x: SparseVec): Array[Float] = {
     val out = new Array[Float](w.length)
+    val idx = x.idx; val vals = x.vals; val n = idx.length
     var r = 0
-    while (r < w.length) { out(r) = dot(w(r), x); r += 1 }
+    while (r + 3 < w.length) {
+      val w0 = w(r); val w1 = w(r + 1); val w2 = w(r + 2); val w3 = w(r + 3)
+      var s0 = 0.0f; var s1 = 0.0f; var s2 = 0.0f; var s3 = 0.0f
+      var k = 0
+      while (k < n) {
+        val j = idx(k); val v = vals(k)
+        s0 += w0(j) * v; s1 += w1(j) * v; s2 += w2(j) * v; s3 += w3(j) * v
+        k += 1
+      }
+      out(r) = s0; out(r + 1) = s1; out(r + 2) = s2; out(r + 3) = s3
+      r += 4
+    }
+    while (r < w.length) {
+      val wr = w(r)
+      var s = 0.0f; var k = 0
+      while (k < n) { s += wr(idx(k)) * vals(k); k += 1 }
+      out(r) = s
+      r += 1
+    }
     out
   }
 
-  /** grad += alpha * (g ⊗ x): rank-1 update of a row-major matrix. */
-  def outerAdd(grad: Array[Array[Float]], alpha: Float,
-               g: Array[Float], x: Array[Float]): Unit = {
-    var r = 0
-    while (r < g.length) {
-      val gr = alpha * g(r)
-      if (gr != 0.0f) axpy(gr, x, grad(r))
-      r += 1
+  /** The rank-1 update g ⊗ x of a matrix held transposed: gradT(j) += x(j) · g
+    * for each non-zero j, allocating gradT(j) (zeros) when it is null. Each
+    * entry (r, j) accumulates g(r) * x(j) in call order, as the dense
+    * update of the row-major matrix does, so it gets the dense bits for
+    * finite g and x: the entries skipped are ±0 terms added to accumulators
+    * that start at +0 (see [[matVecSparse]]). Each update is an `axpy` over
+    * g, which C2 vectorizes.
+    */
+  def outerAddSparse(gradT: Array[Array[Float]], g: Array[Float], x: SparseVec): Unit = {
+    val idx = x.idx; val vals = x.vals
+    var k = 0
+    while (k < idx.length) {
+      val j = idx(k)
+      if (gradT(j) == null) gradT(j) = new Array[Float](g.length)
+      axpy(vals(k), g, gradT(j))
+      k += 1
     }
   }
 
-  def zeros(rows: Int, cols: Int): Array[Array[Float]] =
-    Array.fill(rows)(new Array[Float](cols))
+  /** True when every entry of `w` is finite, the precondition under which
+    * the sparse kernels give the dense bits.
+    */
+  def isFinite(w: Array[Array[Float]]): Boolean =
+    w.forall(_.forall(v => java.lang.Float.isFinite(v)))
+
+  /** `java.util.Random`'s stream without its `AtomicLong`: `next(bits)` runs
+    * the documented 48-bit LCG on a plain `long`, seeded by the same
+    * scramble, so every draw (nextInt, nextDouble, nextGaussian, shuffles
+    * through `scala.util.Random`) equals `new java.util.Random(seed)`'s.
+    * For one thread only.
+    */
+  final class UnsharedRandom(seed: Long) extends java.util.Random(seed) {
+    // the super constructor calls setSeed before this initializer runs
+    private[this] var state: Long = UnsharedRandom.scramble(seed)
+
+    override def setSeed(seed: Long): Unit = {
+      super.setSeed(seed)
+      state = UnsharedRandom.scramble(seed)
+    }
+
+    override protected def next(bits: Int): Int = {
+      state = (state * UnsharedRandom.Multiplier + UnsharedRandom.Addend) & UnsharedRandom.Mask
+      (state >>> (48 - bits)).toInt
+    }
+  }
+
+  object UnsharedRandom {
+    private val Multiplier = 0x5DEECE66DL
+    private val Addend     = 0xBL
+    private val Mask       = (1L << 48) - 1
+    private def scramble(seed: Long): Long = (seed ^ Multiplier) & Mask
+  }
 
   /** Gaussian init scaled by 1/sqrt(cols) — the "pre-trained LM" stand-in. */
   def randomMatrix(rows: Int, cols: Int, seed: Long): Array[Array[Float]] = {
-    val rnd   = new scala.util.Random(seed)
+    val rnd   = new scala.util.Random(new UnsharedRandom(seed))
     val scale = (1.0 / math.sqrt(cols.toDouble)).toFloat
     Array.fill(rows)(Array.fill(cols)((rnd.nextGaussian() * scale).toFloat))
   }

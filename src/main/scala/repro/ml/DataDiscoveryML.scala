@@ -144,13 +144,15 @@ object DataDiscoveryML {
   /** Starmie retrieval (Appendix F): argmax over T of
     * max cos(M(s_i), M(t_j)) + max cos(M(s_target), M(t_j)).
     * The join pair is the best (s_i, t_j) of the winning table.
+    * `lakeEmb(i)` is `enc.encodeTable(lake(i))`, computed once per lake.
     */
   def retrieveStarmie(task: Task, lake: IndexedSeq[TableData],
+                      lakeEmb: IndexedSeq[IndexedSeq[Array[Float]]],
                       enc: ColumnEncoder): Retrieval = {
+    require(lakeEmb.size == lake.size, "one embedding per lake table")
     val qEmb = enc.encodeTable(task.query)
     val tgt  = qEmb(task.targetCol)
-    val scored = lake.map { t =>
-      val tEmb  = enc.encodeTable(t)
+    val scored = lake.zip(lakeEmb).map { case (t, tEmb) =>
       val pairs = for {
         qi <- nonTarget(task)
         tj <- t.columns.indices if keyLike(t.columns(tj))
@@ -250,17 +252,19 @@ object DataDiscoveryML {
                               jaccardMse: Double, overlapMse: Double,
                               starmieMse: Double)
 
-  def runAll(spark: SparkSession, ml: MlLake, enc: ColumnEncoder): IndexedSeq[TaskResult] =
+  def runAll(spark: SparkSession, ml: MlLake, enc: ColumnEncoder): IndexedSeq[TaskResult] = {
+    val lakeEmb = ml.lake.map(enc.encodeTable)
     ml.tasks.map { task =>
       val rJac = retrieveByTokenSim(task, ml.lake, D3L.jaccard)
       val rOvl = retrieveByTokenSim(task, ml.lake, overlap)
-      val rStar = retrieveStarmie(task, ml.lake, enc)
+      val rStar = retrieveStarmie(task, ml.lake, lakeEmb, enc)
       TaskResult(task.id, task.query.numRows,
         mse(spark, task.query, task.targetCol),
         mse(spark, augment(task, ml.lake, rJac), task.targetCol),
         mse(spark, augment(task, ml.lake, rOvl), task.targetCol),
         mse(spark, augment(task, ml.lake, rStar), task.targetCol))
     }
+  }
 
   final case class Summary(avgNoJoin: Double, avgJaccard: Double, avgOverlap: Double,
                            avgStarmie: Double, improvedJaccard: Int, improvedOverlap: Int,

@@ -8,6 +8,29 @@ class LinalgSpec extends AnyFunSuite {
   private def check(p: Prop, n: Int = 50): Unit =
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(n), p).passed)
 
+  /** Reference kernels: the dense y = W x and grad += g ⊗ x that the sparse
+    * ones replaced. The sparse kernels must give their bits.
+    */
+  private def denseMatVec(w: Array[Array[Float]], x: Array[Float]): Array[Float] =
+    w.map(Linalg.dot(_, x))
+
+  private def denseOuterAdd(grad: Array[Array[Float]], g: Array[Float], x: Array[Float]): Unit =
+    g.indices.foreach { r =>
+      if (g(r) != 0.0f) Linalg.axpy(g(r), x, grad(r))
+    }
+
+  private def bits(a: Array[Float]): Seq[Int] = a.toSeq.map(java.lang.Float.floatToRawIntBits)
+
+  /** Finite floats with exact zeros of both signs, subnormals and values
+    * near the bottom of the normal range, so products and sums underflow.
+    */
+  private val edgyFloat: Gen[Float] = Gen.frequency(
+    4 -> Gen.const(0.0f),
+    2 -> Gen.const(-0.0f),
+    1 -> Gen.oneOf(Float.MinPositiveValue, -Float.MinPositiveValue, 1e-40f, -3e-39f),
+    1 -> Gen.choose(-1e-19f, 1e-19f),
+    4 -> Gen.choose(-2.0f, 2.0f))
+
   private val vecGen: Gen[Array[Float]] =
     Gen.choose(2, 16).flatMap(d =>
       Gen.listOfN(d, Gen.choose(-5.0f, 5.0f)).map(_.toArray))
@@ -53,8 +76,15 @@ class LinalgSpec extends AnyFunSuite {
 
   test("matVec matches manual computation") {
     val w = Array(Array(1f, 2f), Array(3f, 4f))
-    val y = Linalg.matVec(w, Array(5f, 6f))
+    val y = Linalg.matVecSparse(w, Linalg.sparse(Array(5f, 6f)))
     assert(y.toSeq == Seq(17f, 39f))
+  }
+
+  test("sparse keeps the non-zero entries in ascending order") {
+    val s = Linalg.sparse(Array(0f, 3f, -0.0f, -1f, 0f, Float.MinPositiveValue))
+    assert(s.idx.toSeq == Seq(1, 3, 5))
+    assert(s.vals.toSeq == Seq(3f, -1f, Float.MinPositiveValue))
+    assert(Linalg.sparse(Array.fill(4)(0f)).idx.isEmpty)
   }
 
   test("axpy accumulates alpha*x into y") {
@@ -64,10 +94,43 @@ class LinalgSpec extends AnyFunSuite {
   }
 
   test("outerAdd performs rank-1 update") {
-    val g = Linalg.zeros(2, 2)
-    Linalg.outerAdd(g, 1.0f, Array(1f, 2f), Array(3f, 4f))
-    assert(g(0).toSeq == Seq(3f, 4f))
-    assert(g(1).toSeq == Seq(6f, 8f))
+    // held transposed: gT(j) is column j of g ⊗ x
+    val gT = new Array[Array[Float]](3)
+    Linalg.outerAddSparse(gT, Array(1f, 2f), Linalg.sparse(Array(3f, 0f, 4f)))
+    assert(gT(0).toSeq == Seq(3f, 6f))
+    assert(gT(1) == null, "no entry for a zero of x")
+    assert(gT(2).toSeq == Seq(4f, 8f))
+  }
+
+  test("sparse W·x and rank-1 update give the dense bits (property)") {
+    // rows cover every leftover of the 4-row blocking; the update runs up to
+    // 3 times from zeros, as the gradient of a batch accumulates
+    val gen = for {
+      rows <- Gen.choose(1, 9)
+      cols <- Gen.choose(1, 40)
+      w    <- Gen.listOfN(rows, Gen.listOfN(cols, edgyFloat).map(_.toArray))
+      xs   <- Gen.choose(1, 3).flatMap(Gen.listOfN(_, Gen.listOfN(cols, edgyFloat).map(_.toArray)))
+      gs   <- Gen.listOfN(xs.size, Gen.listOfN(rows, edgyFloat).map(_.toArray))
+    } yield (w.toArray, xs, gs)
+    check(Prop.forAllNoShrink(gen) { case (w, xs, gs) =>
+      val cols      = w(0).length
+      val gradT     = new Array[Array[Float]](cols)
+      val denseGrad = Array.ofDim[Float](w.length, cols)
+      xs.zip(gs).foreach { case (x, g) =>
+        Linalg.outerAddSparse(gradT, g, Linalg.sparse(x))
+        denseOuterAdd(denseGrad, g, x)
+      }
+      val sparseGrad = Array.tabulate(w.length, cols)((r, j) => if (gradT(j) == null) 0.0f else gradT(j)(r))
+      xs.forall(x => bits(Linalg.matVecSparse(w, Linalg.sparse(x))) == bits(denseMatVec(w, x))) &&
+        denseGrad.indices.forall(r => bits(sparseGrad(r)) == bits(denseGrad(r)))
+    }, 2000)
+  }
+
+  test("isFinite rejects NaN and infinities") {
+    assert(Linalg.isFinite(Array(Array(1f, -0.0f, Float.MaxValue))))
+    Seq(Float.NaN, Float.PositiveInfinity, Float.NegativeInfinity).foreach { v =>
+      assert(!Linalg.isFinite(Array(Array(1f), Array(0f, v))))
+    }
   }
 
   test("randomMatrix is deterministic in the seed") {

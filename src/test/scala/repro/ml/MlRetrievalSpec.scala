@@ -43,12 +43,20 @@ class MlRetrievalSpec extends AnyFunSuite {
     val feat = new Featurizer(FeatConfig(hashDim = 128))
     val enc  = new StarmieEncoder(feat, Linalg.randomMatrix(32, feat.cfg.contextDim, 2))
     val task = ml.tasks.head
-    val r = DataDiscoveryML.retrieveStarmie(task, ml.lake, enc)
+    val r = DataDiscoveryML.retrieveStarmie(task, ml.lake, ml.lake.map(enc.encodeTable), enc)
     assert(r.isDefined)
     val (tid, qi, tj) = r.get
     assert(ml.lake.exists(_.id == tid))
     assert(qi != task.targetCol)
     assert(ml.lake.find(_.id == tid).get.columns.indices.contains(tj))
+  }
+
+  test("starmie retrieval needs one embedding per lake table") {
+    val feat = new Featurizer(FeatConfig(hashDim = 128))
+    val enc  = new StarmieEncoder(feat, Linalg.randomMatrix(32, feat.cfg.contextDim, 2))
+    intercept[IllegalArgumentException] {
+      DataDiscoveryML.retrieveStarmie(ml.tasks.head, ml.lake, ml.lake.tail.map(enc.encodeTable), enc)
+    }
   }
 
   test("hidden factor is deterministic") {
