@@ -21,7 +21,7 @@ object D3L {
     val fmtDist =
       if (fmts.isEmpty) Map.empty[String, Double]
       else fmts.groupBy(identity).view.mapValues(_.size.toDouble / fmts.size).toMap
-    val nums = c.values.filter(Tokenizer.isNumeric).map(_.toDouble)
+    val nums = c.numbers
     val numSig =
       if (nums.size * 2 >= math.max(1, c.values.size)) {
         val m = nums.sum / nums.size
@@ -73,6 +73,8 @@ object D3L {
   /** simHash LSH banding of the candidate index: tables × bits per table. */
   private val LshTables = 6
   private val LshBits   = 10
+  /** columns each query column takes from the LSH index */
+  private val LshProbe  = 64
 
   /** D3L searcher. As in the published system, candidate columns come from
     * LSH indexes over the column features (simHash over the hashed-token
@@ -84,16 +86,10 @@ object D3L {
       lake.iterator.map(t => t.id -> t.columns.map(signature)).toMap
 
     private val feat = new Featurizer()
-    private val lsh = {
-      val idx = new repro.index.SimHashLsh(feat.cfg.hashDim, LshTables, LshBits, seed = 19)
-      var id = 0
-      lake.foreach { t =>
-        t.columns.foreach { c => idx.add(id, feat.hashedTokens(c.tokens)); id += 1 }
-      }
-      idx
-    }
-    private val colOwner: IndexedSeq[String] =
-      lake.flatMap(t => t.columns.map(_ => t.id))
+    private def hashed(t: TableData): IndexedSeq[Array[Float]] =
+      t.columns.map(c => feat.hashedTokens(c.tokens))
+    private val index = Search.buildColumnIndex(lake.map(t => t.id -> hashed(t)),
+      d => new repro.index.SimHashLsh(d, LshTables, LshBits, seed = 19))
 
     def tableScore(q: TableData, tid: String): Double = {
       val qs = q.columns.map(signature)
@@ -102,16 +98,10 @@ object D3L {
       Matching.maxWeightMatching(Matching.thresholded(w, Tau))._1
     }
 
-    def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {
-      val cands = mutable.LinkedHashSet[String]()
-      q.columns.foreach { c =>
-        lsh.search(feat.hashedTokens(c.tokens), 64).foreach { case (colId, _) =>
-          cands += colOwner(colId)
-        }
-      }
-      cands.toIndexedSeq
+    // every column the LSH returns nominates its table, whatever its cosine
+    def query(q: TableData, k: Int): IndexedSeq[(String, Double)] =
+      index.candidateTables(hashed(q), Double.NegativeInfinity, LshProbe)
         .map(tid => tid -> tableScore(q, tid))
         .sortBy(-_._2).take(k)
-    }
   }
 }

@@ -22,7 +22,7 @@ object Bounds {
     private val ei  = new Array[Int](capacity)
     private val ej  = new Array[Int](capacity)
     private val ew  = new Array[Double](capacity)
-    /** edge positions, in weight-descending order after `sort` */
+    /** edge positions, in weight-descending order after `bound` */
     private val ord = new Array[Int](capacity)
     private val tmp = new Array[Int](capacity)
     private val usedS = new Array[Boolean](maxS); private val usedT = new Array[Boolean](maxT)
@@ -38,14 +38,12 @@ object Bounds {
     def add(i: Int, j: Int, w: Double): Unit =
       if (w >= tau) { ei(size) = i; ej(size) = j; ew(size) = w; ord(size) = size; size += 1 }
 
-    /** Stable sort by weight descending: the order `sortBy(-w)` gives. */
-    private def sort(): Unit = sortDescending(ord, tmp, size, ew)
-
     /** Sets `lb` and `ub` of the current edges, for a graph with `m` nodes on
       * one side and `n` on the other.
       */
     def bound(m: Int, n: Int): Unit = {
-      sort()
+      // stable, weight descending: the order `sortBy(-w)` gives
+      sortDescending(ord, tmp, size, ew)
       java.util.Arrays.fill(usedS, 0, m, false); java.util.Arrays.fill(covS, 0, m, false)
       java.util.Arrays.fill(usedT, 0, n, false); java.util.Arrays.fill(covT, 0, n, false)
       var cs = 0; var ct = 0; var matched = 0
@@ -70,36 +68,21 @@ object Bounds {
       }
       lb = lower; ub = upper
     }
-
-    /** the edges as (i, j, w), sorted by weight descending */
-    def sorted: IndexedSeq[(Int, Int, Double)] = {
-      sort()
-      IndexedSeq.tabulate(size) { e => val x = ord(e); (ei(x), ej(x), ew(x)) }
-    }
   }
 
   private def cols(sim: Array[Array[Double]]): Int = if (sim.isEmpty) 0 else sim(0).length
 
-  private def edgeList(sim: Array[Array[Double]], tau: Double): EdgeList = {
-    val out = new EdgeList(sim.length, cols(sim), tau)
+  private def bounded(sim: Array[Array[Double]], tau: Double): EdgeList = {
+    val es = new EdgeList(sim.length, cols(sim), tau)
     var i = 0
     while (i < sim.length) {
       var j = 0
-      while (j < sim(i).length) { out.add(i, j, sim(i)(j)); j += 1 }
+      while (j < sim(i).length) { es.add(i, j, sim(i)(j)); j += 1 }
       i += 1
     }
-    out
-  }
-
-  private def bounded(sim: Array[Array[Double]], tau: Double): EdgeList = {
-    val es = edgeList(sim, tau)
     es.bound(sim.length, cols(sim))
     es
   }
-
-  /** Edges (i, j, w) with w ≥ τ, sorted by weight descending. */
-  def edges(sim: Array[Array[Double]], tau: Double): IndexedSeq[(Int, Int, Double)] =
-    edgeList(sim, tau).sorted
 
   /** UB(S,T): greedy prefix with node reuse, stopping at one-side coverage. */
   def upperBound(sim: Array[Array[Double]], tau: Double): Double = bounded(sim, tau).ub

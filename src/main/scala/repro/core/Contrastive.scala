@@ -133,8 +133,30 @@ object Contrastive {
       new Linalg.SparseVec(java.util.Arrays.copyOf(idx, n), java.util.Arrays.copyOf(vals, n))
     }
 
-  /** The trainers' random stream: the same draws as `new Random(seed)`. */
-  private def trainingRandom(seed: Long): Random = new Random(new Linalg.UnsharedRandom(seed))
+  /** The SimCLR loop of Algorithm 1, shared by both learners: each epoch
+    * shuffles `units`, groups them into batches of `batchSize`, and takes one
+    * [[step]] per batch on the `(inputs, positives)` that `batch` builds,
+    * until `cfg.epochs` epochs or `cfg.maxSteps` steps. `batch` draws its
+    * views and dropout masks from the loop's stream, after that epoch's
+    * shuffle. Returns W (embedDim × `inDim`).
+    */
+  private def train[U](units: IndexedSeq[U], batchSize: Int, inDim: Int, cfg: TrainConfig)(
+      batch: (IndexedSeq[U], Random) => (IndexedSeq[Linalg.SparseVec], Seq[(Int, Int)])
+  ): Array[Array[Float]] = {
+    val rnd = new Random(new Linalg.UnsharedRandom(cfg.seed)) // new Random(seed)'s draws
+    val w0  = Linalg.randomMatrix(cfg.embedDim, inDim, cfg.seed + 1)
+    val w   = w0.map(_.clone())
+    // lazy: an epoch is shuffled only once its first batch is needed, so no
+    // draw follows the last step
+    Iterator.range(0, cfg.epochs)
+      .flatMap(_ => rnd.shuffle(units).grouped(batchSize))
+      .take(cfg.maxSteps)
+      .foreach { b =>
+        val (xs, pos) = batch(b, rnd)
+        step(w, xs, pos, cfg.temperature, cfg.lr, cfg.anchorWeight, w0)
+      }
+    w
+  }
 
   /** Multi-column training (paper §3.3): batches are whole tables; the
     * augmentation operator produces an aligned view; positives are the
@@ -144,43 +166,29 @@ object Contrastive {
     */
   def trainMultiColumn(tables: Seq[TableData], feat: Featurizer,
                        cfg: TrainConfig = TrainConfig()): Array[Array[Float]] = {
-    val rnd = trainingRandom(cfg.seed)
-    val w0  = Linalg.randomMatrix(cfg.embedDim, feat.cfg.contextDim, cfg.seed + 1)
-    val w   = w0.map(_.clone())
-    val op  = Augment.byName(cfg.op)
-    var steps = 0
-    var ep = 0
-    while (ep < cfg.epochs && steps < cfg.maxSteps) {
-      val shuffled = rnd.shuffle(tables.toIndexedSeq)
-      shuffled.grouped(cfg.batchTables).foreach { batch =>
-        if (steps < cfg.maxSteps) {
-          val xs  = scala.collection.mutable.ArrayBuffer[Linalg.SparseVec]()
-          val pos = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
-          batch.foreach { t =>
-            val view    = op(t, rnd)
-            val own     = t.columns.map(feat.columnFeatures)
-            // a view column that is the original's column object has its features
-            val viewOwn = view.table.columns.indices.map { a =>
-              val c = view.table.columns(a)
-              val o = view.alignment(a)
-              if (c eq t.columns(o)) own(o) else feat.columnFeatures(c)
-            }
-            val oriBase = xs.size
-            xs ++= feat.contextualInputs(own).map(dropout(_, cfg.dropout, rnd))
-            val augBase = xs.size
-            xs ++= feat.contextualInputs(viewOwn).map(dropout(_, cfg.dropout, rnd))
-            view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
-              pos += ((oriBase + origIdx, augBase + augIdx))
-            }
-          }
-          step(w, xs.toIndexedSeq, pos.toSeq, cfg.temperature, cfg.lr,
-               cfg.anchorWeight, w0)
-          steps += 1
+    val op = Augment.byName(cfg.op)
+    train(tables.toIndexedSeq, cfg.batchTables, feat.cfg.contextDim, cfg) { (batch, rnd) =>
+      val xs  = scala.collection.mutable.ArrayBuffer[Linalg.SparseVec]()
+      val pos = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
+      batch.foreach { t =>
+        val view    = op(t, rnd)
+        val own     = t.columns.map(feat.columnFeatures)
+        // a view column that is the original's column object has its features
+        val viewOwn = view.table.columns.indices.map { a =>
+          val c = view.table.columns(a)
+          val o = view.alignment(a)
+          if (c eq t.columns(o)) own(o) else feat.columnFeatures(c)
+        }
+        val oriBase = xs.size
+        xs ++= feat.contextualInputs(own).map(dropout(_, cfg.dropout, rnd))
+        val augBase = xs.size
+        xs ++= feat.contextualInputs(viewOwn).map(dropout(_, cfg.dropout, rnd))
+        view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
+          pos += ((oriBase + origIdx, augBase + augIdx))
         }
       }
-      ep += 1
+      (xs.toIndexedSeq, pos.toSeq)
     }
-    w
   }
 
   /** Single-column training (paper §3.2): batches are individual columns;
@@ -188,35 +196,14 @@ object Contrastive {
     * in the batch is a negative. Returns embedDim × colDim weights.
     */
   def trainSingleColumn(tables: Seq[TableData], feat: Featurizer,
-                        cfg: TrainConfig = TrainConfig()): Array[Array[Float]] = {
-    val rnd  = trainingRandom(cfg.seed)
-    val w0   = Linalg.randomMatrix(cfg.embedDim, feat.cfg.colDim, cfg.seed + 1)
-    val w    = w0.map(_.clone())
-    val cols = tables.flatMap(_.columns).toIndexedSeq
-    val batchCols = cfg.batchTables * 6
-    var steps = 0
-    var ep = 0
-    while (ep < cfg.epochs && steps < cfg.maxSteps) {
-      val shuffled = rnd.shuffle(cols)
-      shuffled.grouped(batchCols).foreach { batch =>
-        if (steps < cfg.maxSteps) {
-          val n = batch.size
-          val xs = scala.collection.mutable.ArrayBuffer[Linalg.SparseVec]()
-          batch.foreach(c => xs += dropout(feat.columnFeatures(c), cfg.dropout, rnd))
-          batch.foreach { c =>
-            val keepN = math.max(1, c.values.size / 2)
-            val aug   = ColumnData(c.name,
-              rnd.shuffle(c.values).take(keepN))
-            xs += dropout(feat.columnFeatures(aug), cfg.dropout, rnd)
-          }
-          val pos = (0 until n).map(i => (i, i + n))
-          step(w, xs.toIndexedSeq, pos, cfg.temperature, cfg.lr,
-               cfg.anchorWeight, w0)
-          steps += 1
+                        cfg: TrainConfig = TrainConfig()): Array[Array[Float]] =
+    train(tables.flatMap(_.columns).toIndexedSeq, cfg.batchTables * 6, feat.cfg.colDim, cfg) {
+      (batch, rnd) =>
+        val own  = batch.map(c => dropout(feat.columnFeatures(c), cfg.dropout, rnd))
+        val view = batch.map { c =>
+          val aug = ColumnData(c.name, rnd.shuffle(c.values).take(math.max(1, c.values.size / 2)))
+          dropout(feat.columnFeatures(aug), cfg.dropout, rnd)
         }
-      }
-      ep += 1
+        (own ++ view, batch.indices.map(i => (i, i + batch.size)))
     }
-    w
-  }
 }

@@ -69,7 +69,7 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
       }
     }
     val nChars   = math.max(1, nChar)
-    val nums     = vs.filter(Tokenizer.isNumeric).map(_.toDouble)
+    val nums     = c.numbers
     def logSym(x: Double): Double = math.signum(x) * math.log1p(math.abs(x))
     s(0) = squash(math.log1p(vs.size.toDouble) / 5.0)
     s(1) = squash(mean / 20.0)

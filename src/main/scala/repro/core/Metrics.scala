@@ -38,9 +38,6 @@ object Metrics {
   /** Mean of a per-query metric over all queries. */
   def mean(xs: Seq[Double]): Double = if (xs.isEmpty) 0.0 else xs.sum / xs.size
 
-  def mapAtK(results: Seq[(Seq[String], Set[String])], k: Int): Double =
-    mean(results.map { case (ranked, rel) => apAtK(ranked, rel, k) })
-
   /** Cluster purity: fraction of items whose ground-truth label equals the
     * majority label of their cluster (§5.5).
     */

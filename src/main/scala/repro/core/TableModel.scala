@@ -1,14 +1,22 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** A single data-lake column: a name (unused by encoders, as in the paper's
   * fair comparison where column-name features are omitted) and its cell values.
   */
 final case class ColumnData(name: String, values: IndexedSeq[String]) {
   lazy val tokens: IndexedSeq[String] = values.flatMap(Tokenizer.tokenize)
   lazy val tokenSet: Set[String]      = tokens.toSet
+  /** the cells that parse as numbers ([[Tokenizer.isNumeric]]), parsed, in
+    * cell order: the one parse behind every numeric feature of a column.
+    * Unboxed, since every lake column keeps its own.
+    */
+  lazy val numbers: IndexedSeq[Double] =
+    values.iterator.filter(Tokenizer.isNumeric).map(_.toDouble).to(ArraySeq)
   lazy val numericFraction: Double =
     if (values.isEmpty) 0.0
-    else values.count(Tokenizer.isNumeric).toDouble / values.size
+    else numbers.size.toDouble / values.size
   def isNumeric: Boolean = numericFraction >= 0.5
 }
 

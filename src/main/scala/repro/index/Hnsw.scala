@@ -54,7 +54,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   override def size: Int = n
 
   override def add(id: Int, vec: Array[Float]): Unit = {
-    require(vec.length == dim)
+    VectorIndex.requireInput(vec, dim, "vector")
     val node = n
     if (node == vecs.length) {
       val cap = 2 * node
@@ -93,7 +93,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   }
 
   override def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)] = {
-    require(query.length == dim, s"query has ${query.length} dimensions, index has $dim")
+    VectorIndex.requireInput(query, dim, "query")
     if (entryPoint < 0 || k <= 0) return IndexedSeq.empty
     var ep = entryPoint
     var layer = maxLayer

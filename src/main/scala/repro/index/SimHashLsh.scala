@@ -37,7 +37,7 @@ final class SimHashLsh(dim: Int, nTables: Int = 8, bitsPerTable: Int = 12,
   }
 
   override def add(id: Int, vec: Array[Float]): Unit = {
-    require(vec.length == dim)
+    VectorIndex.requireInput(vec, dim, "vector")
     val node = vecs.size
     vecs += vec; extIds += id
     var t = 0
@@ -48,6 +48,7 @@ final class SimHashLsh(dim: Int, nTables: Int = 8, bitsPerTable: Int = 12,
   }
 
   override def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)] = {
+    VectorIndex.requireInput(query, dim, "query")
     val seen = mutable.HashSet[Int]()
     var t = 0
     while (t < nTables) {

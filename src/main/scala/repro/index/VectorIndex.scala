@@ -3,16 +3,36 @@ package repro.index
 import repro.core.Linalg
 
 /** Approximate (or exact) nearest-neighbour index over L2-normalized vectors
-  * under cosine similarity. Ids are dense ints assigned by the caller.
+  * under cosine similarity. Ids are dense ints assigned by the caller. Every
+  * added and query vector has the index dimension and is unit-norm or
+  * all-zero ([[VectorIndex.requireInput]]).
   */
 trait VectorIndex extends Serializable {
-  /** insert a vector (must be L2-normalized) */
+  /** insert a vector */
   def add(id: Int, vec: Array[Float]): Unit
   /** top-k most similar ids with their cosine similarity, descending */
   def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)]
   def size: Int
   /** approximate in-memory footprint in bytes, for the Table 6 experiment */
   def memoryBytes: Long
+}
+
+object VectorIndex {
+  /** largest |‖v‖ − 1| accepted as unit norm, far above the rounding error
+    * that float normalization leaves
+    */
+  private val NormTolerance = 1e-3f
+
+  /** Requires `v` (`what`: "vector" or "query") to have `dim` entries and to
+    * be unit-norm or all-zero. Zero is legal: `Linalg.normalize` leaves it
+    * as is, and a column with no tokens hashes to it.
+    */
+  def requireInput(v: Array[Float], dim: Int, what: String): Unit = {
+    require(v.length == dim, s"$what has ${v.length} dimensions, index has $dim")
+    val n = Linalg.norm(v)
+    require(math.abs(n - 1.0f) <= NormTolerance || v.forall(_ == 0.0f),
+      s"$what must be unit-norm or all-zero, its norm is $n")
+  }
 }
 
 /** Exact brute-force index — the recall reference and the "Linear" design
@@ -23,10 +43,11 @@ final class LinearIndex(dim: Int) extends VectorIndex {
   private val vecs = scala.collection.mutable.ArrayBuffer[Array[Float]]()
 
   override def add(id: Int, vec: Array[Float]): Unit = {
-    require(vec.length == dim); ids += id; vecs += vec
+    VectorIndex.requireInput(vec, dim, "vector"); ids += id; vecs += vec
   }
 
   override def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)] = {
+    VectorIndex.requireInput(query, dim, "query")
     val scored = new Array[(Int, Float)](ids.size)
     var i = 0
     while (i < ids.size) {

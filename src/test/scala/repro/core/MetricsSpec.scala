@@ -54,13 +54,6 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.recallAtK(ranked, rel, 2) <= Metrics.idealRecallAtK(rel, 2))
   }
 
-  test("mapAtK averages per-query APs") {
-    val m = Metrics.mapAtK(Seq(
-      (Seq("a", "b", "c"), rel),
-      (Seq("x", "y", "z"), rel)), 3)
-    assert(m == 0.5)
-  }
-
   test("purity of perfectly pure clusters is 1") {
     val p = Metrics.purity(Seq(Seq("a1", "a2"), Seq("b1")), s => s.take(1))
     assert(p == 1.0)

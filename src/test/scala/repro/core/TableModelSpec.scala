@@ -52,6 +52,9 @@ class TableModelSpec extends SparkSpec {
   test("ColumnData numeric detection") {
     assert(ColumnData("n", IndexedSeq("1", "2", "x")).isNumeric)
     assert(!ColumnData("n", IndexedSeq("a", "b", "3")).isNumeric)
+    // numbers: the numeric cells parsed, in cell order; numericFraction counts them
+    val c = ColumnData("n", IndexedSeq("-3.5", "x", null, "+7", "1.2.3", "0"))
+    assert(c.numbers == Seq(-3.5, 7.0, 0.0) && c.numericFraction == 0.5)
   }
 
   test("TableData numRows is the max column length") {
