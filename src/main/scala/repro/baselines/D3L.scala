@@ -91,17 +91,21 @@ object D3L {
     private val index = Search.buildColumnIndex(lake.map(t => t.id -> hashed(t)),
       d => new repro.index.SimHashLsh(d, LshTables, LshBits, seed = 19))
 
-    def tableScore(q: TableData, tid: String): Double = {
-      val qs = q.columns.map(signature)
+    def tableScore(q: TableData, tid: String): Double = score(q.columns.map(signature), tid)
+
+    /** the matching score of table `tid` against the query's column signatures */
+    private def score(qs: IndexedSeq[ColSig], tid: String): Double = {
       val ts = sigs(tid)
       val w  = Array.tabulate(qs.size, ts.size)((i, j) => columnScore(qs(i), ts(j)))
       Matching.maxWeightMatching(Matching.thresholded(w, Tau))._1
     }
 
     // every column the LSH returns nominates its table, whatever its cosine
-    def query(q: TableData, k: Int): IndexedSeq[(String, Double)] =
+    def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {
+      val qs = q.columns.map(signature)
       index.candidateTables(hashed(q), Double.NegativeInfinity, LshProbe)
-        .map(tid => tid -> tableScore(q, tid))
+        .map(tid => tid -> score(qs, tid))
         .sortBy(-_._2).take(k)
+    }
   }
 }

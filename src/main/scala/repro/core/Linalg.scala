@@ -56,6 +56,32 @@ object Linalg {
     }
   }
 
+  /** out(i) = dot(vecs(nodes(from + i)), q) for i = 0 until count, with the
+    * same bits as `dot`. Tiles of 4 gathered rows share each load of q and
+    * keep 4 independent accumulators, each summing vecs(node)(p) * q(p) for
+    * p = 0 until d, the order `dot` uses; leftover rows go through `dot`.
+    * Every gathered row must have q's length d.
+    */
+  def dotGather(q: Array[Float], vecs: Array[Array[Float]], nodes: Array[Int],
+                from: Int, count: Int, out: Array[Float]): Unit = {
+    val d = q.length
+    var i = 0
+    while (i + 3 < count) {
+      val v0 = vecs(nodes(from + i)); val v1 = vecs(nodes(from + i + 1))
+      val v2 = vecs(nodes(from + i + 2)); val v3 = vecs(nodes(from + i + 3))
+      var s0 = 0.0f; var s1 = 0.0f; var s2 = 0.0f; var s3 = 0.0f
+      var p = 0
+      while (p < d) {
+        val x = q(p)
+        s0 += v0(p) * x; s1 += v1(p) * x; s2 += v2(p) * x; s3 += v3(p) * x
+        p += 1
+      }
+      out(i) = s0; out(i + 1) = s1; out(i + 2) = s2; out(i + 3) = s3
+      i += 4
+    }
+    while (i < count) { out(i) = dot(vecs(nodes(from + i)), q); i += 1 }
+  }
+
   def norm(a: Array[Float]): Float = math.sqrt(dot(a, a).toDouble).toFloat
 
   /** L2-normalize in place; a zero vector is left untouched. Returns `a`. */

@@ -19,6 +19,11 @@ import scala.collection.immutable.ArraySeq
   * (sim, node) heaps. Exactly equal similarities are ordered by node id
   * (insertion order), lower first.
   *
+  * Similarities to a node's neighbours are computed together, four at a
+  * time ([[Linalg.dotGather]], the bits of `dot`), and then consumed in
+  * neighbour order by the unchanged decision logic, so the graph and the
+  * answers are those of one `dot` per neighbour.
+  *
   * The search buffers are reused across calls, so one instance must not be
   * searched or extended from several threads at once.
   */
@@ -123,11 +128,12 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
       val s = scratch
       val nodes = s.pruneNodes
       val sims = s.pruneSims
-      val base = vecs(nb)
+      val gathered = s.gatherSims
+      Linalg.dotGather(vecs(nb), vecs, back, 1, count, gathered)
       var i = 0
       while (i < count) {
         val x = back(i + 1)
-        val sx = sim(x, base)
+        val sx = gathered(i)
         var j = i
         while (j > 0 && sims(j - 1) < sx) {
           sims(j) = sims(j - 1); nodes(j) = nodes(j - 1); j -= 1
@@ -148,6 +154,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     */
   private def selectHeuristic(nodes: Array[Int], sims: Array[Float], count: Int,
                               cap: Int, dst: Array[Int]): Unit = {
+    val tile = scratch.gatherSims
     var selected = 0
     var i = 0
     while (i < count && selected < cap) {
@@ -156,8 +163,11 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
       var diverse = true
       var j = 1
       while (diverse && j <= selected) {
-        diverse = sim(c, vecs(dst(j))) < simToQ
-        j += 1
+        val t = math.min(4, selected - j + 1)
+        Linalg.dotGather(vecs(c), vecs, dst, j, t, tile)
+        var k = 0
+        while (diverse && k < t) { diverse = tile(k) < simToQ; k += 1 }
+        j += t
       }
       if (diverse) { selected += 1; dst(selected) = c }
       i += 1
@@ -176,17 +186,18 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
 
   /** greedy hill-climb to the locally closest node on `layer` */
   private def greedyClosest(q: Array[Float], start: Int, layer: Int): Int = {
+    val sims = scratch.gatherSims
     var cur = start
     var curSim = sim(cur, q)
     var improved = true
     while (improved) {
       improved = false
       val nbs = links(cur)(layer)
-      var i = 1
-      while (i <= nbs(0)) {
-        val nb = nbs(i)
-        val s = sim(nb, q)
-        if (s > curSim) { curSim = s; cur = nb; improved = true }
+      val count = nbs(0)
+      Linalg.dotGather(q, vecs, nbs, 1, count, sims)
+      var i = 0
+      while (i < count) {
+        if (sims(i) > curSim) { curSim = sims(i); cur = nbs(i + 1); improved = true }
         i += 1
       }
     }
@@ -203,6 +214,8 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     // candidates: best on top; results: worst on top (bounded by ef)
     val cand = s.cand
     val res = s.res
+    val batch = s.gatherNodes
+    val sims = s.gatherSims
     cand.clear(); res.clear()
     visited(ep) = stamp
     val epSim = sim(ep, q)
@@ -215,17 +228,22 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
         cand.clear() // nothing closer can be found
       } else {
         val nbs = links(c)(layer)
+        var count = 0
         var i = 1
         while (i <= nbs(0)) {
           val nb = nbs(i)
-          if (visited(nb) != stamp) {
-            visited(nb) = stamp
-            val sn = sim(nb, q)
-            if (res.size < ef || sn > res.topSim) {
-              cand.push(sn, nb)
-              res.push(sn, nb)
-              if (res.size > ef) res.pop()
-            }
+          if (visited(nb) != stamp) { visited(nb) = stamp; batch(count) = nb; count += 1 }
+          i += 1
+        }
+        Linalg.dotGather(q, vecs, batch, 0, count, sims)
+        i = 0
+        while (i < count) {
+          val sn = sims(i)
+          if (res.size < ef || sn > res.topSim) {
+            val nb = batch(i)
+            cand.push(sn, nb)
+            res.push(sn, nb)
+            if (res.size > ef) res.pop()
           }
           i += 1
         }
@@ -262,6 +280,9 @@ object Hnsw {
     var outSims = new Array[Float](0)
     val pruneNodes = new Array[Int](mMax0 + 1)
     val pruneSims = new Array[Float](mMax0 + 1)
+    /** one link list's members and their similarities, from `dotGather` */
+    val gatherNodes = new Array[Int](mMax0 + 1)
+    val gatherSims = new Array[Float](mMax0 + 1)
 
     /** a stamp no entry of `visited` (sized for `nodes`) holds yet */
     def nextEpoch(nodes: Int): Int = {

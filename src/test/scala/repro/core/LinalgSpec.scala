@@ -141,6 +141,29 @@ class LinalgSpec extends AnyFunSuite {
     assert(a.flatten.toSeq != c.flatten.toSeq)
   }
 
+  test("dotGather gives dot's bits for every gathered row (property)") {
+    // counts 0–9 cover the 4-wide tiles and every leftover; ids repeat and
+    // come in any order, and the gather may start past the head of `nodes`
+    val gen = for {
+      d     <- Gen.choose(1, 40)
+      rows  <- Gen.choose(1, 6)
+      vecs  <- Gen.listOfN(rows, Gen.listOfN(d, edgyFloat).map(_.toArray))
+      q     <- Gen.listOfN(d, edgyFloat).map(_.toArray)
+      from  <- Gen.choose(0, 2)
+      count <- Gen.choose(0, 9)
+      nodes <- Gen.listOfN(from + count, Gen.choose(0, rows - 1))
+    } yield (vecs.toArray, q, nodes.toArray, from, count)
+    check(Prop.forAllNoShrink(gen) { case (vecs, q, nodes, from, count) =>
+      val out = Array.fill(count + 1)(Float.NaN)
+      Linalg.dotGather(q, vecs, nodes, from, count, out)
+      // Hnsw compares against one dot per neighbour with either argument first
+      val expected = Array.tabulate(count)(i => Linalg.dot(vecs(nodes(from + i)), q))
+      val swapped  = Array.tabulate(count)(i => Linalg.dot(q, vecs(nodes(from + i))))
+      bits(out.take(count)) == bits(expected) && bits(swapped) == bits(expected) &&
+        out(count).isNaN
+    }, 2000)
+  }
+
   test("dotBlock equals Matching.simMatrix bit for bit (property)") {
     // m and n cover every leftover row and column of the 2 × 4 blocking
     val gen = for {

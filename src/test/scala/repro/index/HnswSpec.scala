@@ -9,6 +9,29 @@ class HnswSpec extends AnyFunSuite {
   private def randomUnit(d: Int, rnd: Random): Array[Float] =
     Linalg.normalize(Array.fill(d)(rnd.nextGaussian().toFloat))
 
+  /** SHA-256 input: each answer's (id, score bits), by score descending then id */
+  private def digestAnswers(md: java.security.MessageDigest, res: IndexedSeq[(Int, Float)]): Unit = {
+    val buf = java.nio.ByteBuffer.allocate(8)
+    res.sortWith { case ((i1, s1), (i2, s2)) => if (s1 != s2) s1 > s2 else i1 < i2 }
+      .foreach { case (id, s) =>
+        buf.clear()
+        buf.putInt(id).putInt(java.lang.Float.floatToIntBits(s))
+        md.update(buf.array())
+      }
+  }
+
+  private def hex(md: java.security.MessageDigest): String =
+    md.digest().map(b => f"$b%02x").mkString
+
+  private def roundTrip(h: Hnsw): Hnsw = {
+    import java.io._
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(h); out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
+      .readObject().asInstanceOf[Hnsw]
+  }
+
   test("empty index returns nothing") {
     val h = new Hnsw(4)
     assert(h.search(Array(1f, 0f, 0f, 0f), 5).isEmpty)
@@ -106,20 +129,38 @@ class HnswSpec extends AnyFunSuite {
     val h = new Hnsw(d, seed = 5)
     (0 until 2000).foreach(i => h.add(i, randomUnit(d, rnd)))
     val md = java.security.MessageDigest.getInstance("SHA-256")
-    val buf = java.nio.ByteBuffer.allocate(8)
     (0 until 50).foreach { _ =>
       val res = h.search(randomUnit(d, rnd), 64)
       assert(res.size == 64)
-      res.sortWith { case ((i1, s1), (i2, s2)) => if (s1 != s2) s1 > s2 else i1 < i2 }
-        .foreach { case (id, s) =>
-          buf.clear()
-          buf.putInt(id).putInt(java.lang.Float.floatToIntBits(s))
-          md.update(buf.array())
-        }
+      digestAnswers(md, res)
     }
-    assert(md.digest().map(b => f"$b%02x").mkString ==
+    assert(hex(md) ==
       "8907e9fd827bc847c575b653cf9c0748e7d60d5f924ec8d4a6c1eae1c4c9849f")
     assert(h.memoryBytes == 351440L)
+  }
+
+  test("embedding-width build interleaved with searches matches its reference digest") {
+    // d = 128 with m = 4: many layers, and link lists overflow often, so
+    // linkBack re-selects on most inserts. Searches interleave with adds as
+    // in an ingesting lake, and the index makes one serialization round trip
+    // half way. Recorded from the per-neighbour implementation at 8a6c3e9.
+    val rnd = new Random(12)
+    val d = 128
+    val centers = IndexedSeq.fill(40)(randomUnit(d, rnd))
+    def point(): Array[Float] = {
+      val c = centers(rnd.nextInt(centers.size))
+      val e = randomUnit(d, rnd)
+      Linalg.normalize(Array.tabulate(d)(p => c(p) + 0.3f * e(p)))
+    }
+    var h = new Hnsw(d, m = 4, efConstruction = 40, efSearch = 32, seed = 17)
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    (0 until 1500).foreach { i =>
+      h.add(i, point())
+      if (i % 5 == 4) digestAnswers(md, h.search(point(), 16))
+      if (i == 750) h = roundTrip(h)
+    }
+    assert(hex(md) == "b8566f2a0529c10a5dcf93032c57358a79a013dbeb23f5a3501a204c47226038")
+    assert(h.memoryBytes == 820204L)
   }
 
   test("equal scores come back in ascending id order") {
@@ -138,16 +179,11 @@ class HnswSpec extends AnyFunSuite {
   }
 
   test("a Java-serialization round trip keeps searches and later inserts identical") {
-    import java.io._
     val rnd = new Random(8)
     val d = 16
     val h = new Hnsw(d, seed = 3)
     (0 until 500).foreach(i => h.add(i, randomUnit(d, rnd)))
-    val bytes = new ByteArrayOutputStream()
-    val out = new ObjectOutputStream(bytes)
-    out.writeObject(h); out.close()
-    val copy = new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
-      .readObject().asInstanceOf[Hnsw]
+    val copy = roundTrip(h)
     val queries = IndexedSeq.fill(20)(randomUnit(d, rnd))
     assert(queries.map(copy.search(_, 10)) == queries.map(h.search(_, 10)))
     (500 until 700).foreach { i => val v = randomUnit(d, rnd); h.add(i, v); copy.add(i, v) }
