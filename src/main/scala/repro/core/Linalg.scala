@@ -15,23 +15,27 @@ object Linalg {
     s
   }
 
-  /** out(i * b.length + j) = dot(a(i), b(j)) for every i, j, with the same
-    * bits as `dot`. Blocks of 2 rows of `a` × 4 rows of `b` keep 8
+  /** out(i * b.length + j) = dot(a(i), b(j)) for every i and for j = from
+    * until `until`, with the same bits as `dot`; the other entries of `out`
+    * are left as they are. Blocks of 2 rows of `a` × 4 rows of `b` keep 8
     * independent accumulators, each summing a(i)(p) * b(j)(p) for p = 0 until
     * d, the order `dot` uses; the JVM does not reorder float sums, so only
     * the interleaving changes. Leftover rows go through `dot`. The rows of
-    * `a` must share one length d.
+    * `a` must share one length d. Calls on disjoint column ranges may write
+    * one `out` from several threads.
     */
-  def dotBlock(a: Array[Array[Float]], b: Array[Array[Float]], out: Array[Float]): Unit = {
+  def dotBlock(a: Array[Array[Float]], b: Array[Array[Float]], from: Int, until: Int,
+               out: Array[Float]): Unit = {
     val m = a.length; val n = b.length
     val d = if (m == 0) 0 else a(0).length
     require(a.forall(_.length == d), "dotBlock needs the rows of `a` to share one length")
+    require(0 <= from && from <= until && until <= n, s"column range [$from, $until) is not within 0 until $n")
     var i = 0
     while (i + 1 < m) {
       val a0 = a(i); val a1 = a(i + 1)
       val r0 = i * n; val r1 = r0 + n
-      var j = 0
-      while (j + 3 < n) {
+      var j = from
+      while (j + 3 < until) {
         val b0 = b(j); val b1 = b(j + 1); val b2 = b(j + 2); val b3 = b(j + 3)
         var s00 = 0.0f; var s01 = 0.0f; var s02 = 0.0f; var s03 = 0.0f
         var s10 = 0.0f; var s11 = 0.0f; var s12 = 0.0f; var s13 = 0.0f
@@ -47,12 +51,12 @@ object Linalg {
         out(r1 + j) = s10; out(r1 + j + 1) = s11; out(r1 + j + 2) = s12; out(r1 + j + 3) = s13
         j += 4
       }
-      while (j < n) { out(r0 + j) = dot(a0, b(j)); out(r1 + j) = dot(a1, b(j)); j += 1 }
+      while (j < until) { out(r0 + j) = dot(a0, b(j)); out(r1 + j) = dot(a1, b(j)); j += 1 }
       i += 2
     }
     if (i < m) {
-      var j = 0
-      while (j < n) { out(i * n + j) = dot(a(i), b(j)); j += 1 }
+      var j = from
+      while (j < until) { out(i * n + j) = dot(a(i), b(j)); j += 1 }
     }
   }
 

@@ -24,8 +24,9 @@ import scala.collection.immutable.ArraySeq
   * neighbour order by the unchanged decision logic, so the graph and the
   * answers are those of one `dot` per neighbour.
   *
-  * The search buffers are reused across calls, so one instance must not be
-  * searched or extended from several threads at once.
+  * Each thread keeps its own search buffers, reused across its calls, so
+  * several threads may search one instance at once. `add` links the graph in
+  * place: it must not run at the same time as another `add` or a search.
   */
 final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
                  efSearch: Int = 64, seed: Long = 42) extends VectorIndex {
@@ -47,11 +48,9 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   private var entryPoint = -1
   private var maxLayer = -1
 
-  @transient private var scratchBuf: Scratch = _
-  private def scratch: Scratch = {
-    if (scratchBuf == null) scratchBuf = new Scratch(mMax0)
-    scratchBuf
-  }
+  /** search buffers of the calling thread; rebuilt after deserialization */
+  @transient private lazy val scratches: ThreadLocal[Scratch] =
+    ThreadLocal.withInitial(() => new Scratch(mMax0))
 
   @inline private def sim(a: Int, q: Array[Float]): Float = Linalg.dot(vecs(a), q)
   @inline private def capAt(layer: Int): Int = if (layer == 0) mMax0 else m
@@ -75,23 +74,23 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
 
     if (entryPoint < 0) { entryPoint = node; maxLayer = level; return }
 
-    val s = scratch
+    val s = scratches.get
     var ep = entryPoint
     // greedy descent on layers above the new node's level
     var layer = maxLayer
     while (layer > level) {
-      ep = greedyClosest(vec, ep, layer)
+      ep = greedyClosest(s, vec, ep, layer)
       layer -= 1
     }
     // beam-search insert on each layer ≤ min(level, maxLayer)
     layer = math.min(level, maxLayer)
     while (layer >= 0) {
-      val found = searchLayer(vec, ep, efConstruction, layer)
+      val found = searchLayer(s, vec, ep, efConstruction, layer)
       val bucket = links(node)(layer)
-      selectHeuristic(s.outNodes, s.outSims, found, m, bucket)
+      selectHeuristic(s, s.outNodes, s.outSims, found, m, bucket)
       ep = s.outNodes(0)
       var i = 1
-      while (i <= bucket(0)) { linkBack(bucket(i), node, layer); i += 1 }
+      while (i <= bucket(0)) { linkBack(s, bucket(i), node, layer); i += 1 }
       layer -= 1
     }
     if (level > maxLayer) { maxLayer = level; entryPoint = node }
@@ -100,14 +99,14 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   override def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)] = {
     VectorIndex.requireInput(query, dim, "query")
     if (entryPoint < 0 || k <= 0) return IndexedSeq.empty
+    val s = scratches.get
     var ep = entryPoint
     var layer = maxLayer
     while (layer > 0) {
-      ep = greedyClosest(query, ep, layer)
+      ep = greedyClosest(s, query, ep, layer)
       layer -= 1
     }
-    val found = math.min(k, searchLayer(query, ep, math.max(efSearch, k), 0))
-    val s = scratch
+    val found = math.min(k, searchLayer(s, query, ep, math.max(efSearch, k), 0))
     val out = new Array[(Int, Float)](found)
     var i = 0
     while (i < found) { out(i) = (extIds(s.outNodes(i)), s.outSims(i)); i += 1 }
@@ -118,14 +117,13 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     * with the same heuristic, keyed on `nb`, from its members sorted by
     * similarity descending (stable, so ties keep list order).
     */
-  private def linkBack(nb: Int, node: Int, layer: Int): Unit = {
+  private def linkBack(s: Scratch, nb: Int, node: Int, layer: Int): Unit = {
     val back = links(nb)(layer)
     val count = back(0) + 1
     back(count) = node
     back(0) = count
     val cap = capAt(layer)
     if (count > cap) {
-      val s = scratch
       val nodes = s.pruneNodes
       val sims = s.pruneSims
       val gathered = s.gatherSims
@@ -141,7 +139,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
         sims(j) = sx; nodes(j) = x
         i += 1
       }
-      selectHeuristic(nodes, sims, count, cap, back)
+      selectHeuristic(s, nodes, sims, count, cap, back)
     }
   }
 
@@ -152,9 +150,9 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     * Reads `count` candidates best-first from `nodes`/`sims` and writes the
     * selection into the link array `dst`.
     */
-  private def selectHeuristic(nodes: Array[Int], sims: Array[Float], count: Int,
+  private def selectHeuristic(s: Scratch, nodes: Array[Int], sims: Array[Float], count: Int,
                               cap: Int, dst: Array[Int]): Unit = {
-    val tile = scratch.gatherSims
+    val tile = s.gatherSims
     var selected = 0
     var i = 0
     while (i < count && selected < cap) {
@@ -185,8 +183,8 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   }
 
   /** greedy hill-climb to the locally closest node on `layer` */
-  private def greedyClosest(q: Array[Float], start: Int, layer: Int): Int = {
-    val sims = scratch.gatherSims
+  private def greedyClosest(s: Scratch, q: Array[Float], start: Int, layer: Int): Int = {
+    val sims = s.gatherSims
     var cur = start
     var curSim = sim(cur, q)
     var improved = true
@@ -205,10 +203,9 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   }
 
   /** Beam search of width `ef` on `layer`. Leaves the candidates best-first
-    * in `scratch.outNodes`/`outSims` and returns how many there are.
+    * in `s.outNodes`/`outSims` and returns how many there are.
     */
-  private def searchLayer(q: Array[Float], ep: Int, ef: Int, layer: Int): Int = {
-    val s = scratch
+  private def searchLayer(s: Scratch, q: Array[Float], ep: Int, ef: Int, layer: Int): Int = {
     val stamp = s.nextEpoch(links.length)
     val visited = s.visited
     // candidates: best on top; results: worst on top (bounded by ef)
@@ -270,7 +267,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
 object Hnsw {
   private val InitialCapacity = 64
 
-  /** Per-instance search buffers; rebuilt on first use after deserialization. */
+  /** One thread's search buffers for one instance. */
   private final class Scratch(mMax0: Int) {
     var visited = new Array[Int](0)
     private var epoch = 0

@@ -6,6 +6,10 @@ import repro.core.Linalg
   * under cosine similarity. Ids are dense ints assigned by the caller. Every
   * added and query vector has the index dimension and is unit-norm or
   * all-zero ([[VectorIndex.requireInput]]).
+  *
+  * Searches may run from several threads at once on one instance (a query
+  * probes its columns side by side, `Search.ColumnIndex`); `add` must not
+  * run at the same time as another `add` or a search.
   */
 trait VectorIndex extends Serializable {
   /** insert a vector */

@@ -165,7 +165,8 @@ class LinalgSpec extends AnyFunSuite {
   }
 
   test("dotBlock equals Matching.simMatrix bit for bit (property)") {
-    // m and n cover every leftover row and column of the 2 × 4 blocking
+    // m and n cover every leftover row and column of the 2 × 4 blocking, and
+    // the column range [from, until) every offset of its tiles
     val gen = for {
       m <- Gen.choose(0, 5)
       n <- Gen.choose(0, 9)
@@ -173,13 +174,16 @@ class LinalgSpec extends AnyFunSuite {
       v  = Gen.listOfN(d, Gen.choose(-1.0f, 1.0f)).map(_.toArray)
       a <- Gen.listOfN(m, v)
       b <- Gen.listOfN(n, v)
-    } yield (a.toArray, b.toArray)
-    check(Prop.forAllNoShrink(gen) { case (a, b) =>
-      val out = new Array[Float](a.length * b.length)
-      Linalg.dotBlock(a, b, out)
+      from  <- Gen.choose(0, n)
+      until <- Gen.choose(from, n)
+    } yield (a.toArray, b.toArray, from, until)
+    check(Prop.forAllNoShrink(gen) { case (a, b, from, until) =>
+      val out = Array.fill(a.length * b.length)(Float.NaN)
+      Linalg.dotBlock(a, b, from, until, out)
       val sim = Matching.simMatrix(a.toIndexedSeq, b.toIndexedSeq)
       a.indices.forall(i => b.indices.forall(j =>
-        java.lang.Float.floatToIntBits(out(i * b.length + j)) ==
+        if (j < from || j >= until) out(i * b.length + j).isNaN
+        else java.lang.Float.floatToIntBits(out(i * b.length + j)) ==
           java.lang.Float.floatToIntBits(sim(i)(j).toFloat)))
     }, 1000)
   }

@@ -167,6 +167,30 @@ class SearchSpec extends AnyFunSuite {
     }
   }
 
+  test("queries issued from inside a parallel stream equal the sequential ones, on a lake whose filter and probes split") {
+    // 1,200 tables of 4 columns: every query's filter and each probe of the
+    // 4,800-column indexes cover at least MinSplitPairs pairs, so they fork
+    // from inside the common pool's workers, as nested tasks
+    val big = mkLake(nGroups = 60, perGroup = 20, cols = 4, d = 16, seed = 11)
+    val nCols = big.map(_._2.size).sum
+    assert(nCols >= Search.MinSplitPairs)
+    val s = new UnionSearcher(big, tau = 0.5)
+    val hnsw = Search.buildColumnIndex(big, d => new Hnsw(d, seed = 3))
+    val lsh  = Search.buildColumnIndex(big, d => new SimHashLsh(d, seed = 3))
+    val queries = big.indices.filter(_ % 19 == 0).take(64).map(big(_)._2)
+    assert(queries.size == 64)
+    def run(q: IndexedSeq[Array[Float]]): Seq[(IndexedSeq[(String, Double)], Long, Int)] =
+      Seq(s.queryPruning(q, 10), s.queryWithIndex(q, 10, hnsw), s.queryWithIndex(q, 10, lsh))
+        .map(r => (r.ranked, r.verifications, r.candidates))
+    val sequential = queries.map(run)
+    (1 to 3).foreach { _ =>
+      val parallel = new Array[Seq[(IndexedSeq[(String, Double)], Long, Int)]](queries.size)
+      java.util.stream.IntStream.range(0, queries.size).parallel()
+        .forEach((i: Int) => parallel(i) = run(queries(i)))
+      assert(parallel.toSeq == sequential)
+    }
+  }
+
   // ---- exactness properties over random small lakes -------------------------
 
   /** 1–8 tables of 0–4 columns each, k ∈ [1, n+3], τ ∈ [0, 0.95]. Columns are
@@ -214,6 +238,59 @@ class SearchSpec extends AnyFunSuite {
           s.queryPruning(c.query, c.k).ranked.filter(_._2 > 0)
       }
     }))
+  }
+
+  /** A lake of about 2 × MinSplitPairs columns and a query of 1–6 columns, so
+    * that Pruning's filter and every probe of an index over the lake split:
+    * tables of 0–8 columns drawn around a pool of six directions, with
+    * repeats, ties and shuffled ids as in `genCase`.
+    */
+  private val genSplitCase: Gen[LakeCase] = {
+    val d = 8
+    val coords = Gen.listOfN(d, Gen.choose(-1.0, 1.0))
+    for {
+      pool   <- Gen.listOfN(6, coords)
+      noise  <- Gen.oneOf(0.0, 0.1, 0.5)
+      col     = for (c <- Gen.oneOf(pool); e <- coords)
+                  yield Linalg.normalize(c.zip(e).map { case (a, b) => (a + noise * b).toFloat }.toArray)
+      m      <- Gen.choose(1, 6)
+      query  <- Gen.listOfN(m, col).map(_.toIndexedSeq)
+      n       = Search.MinSplitPairs / 2 + 1
+      tables <- Gen.listOfN(n, Gen.choose(0, 8).flatMap(Gen.listOfN(_, col)).map(_.toIndexedSeq))
+      ids    <- Gen.long.map(seed => new Random(seed).shuffle((0 until n).map(i => s"t$i")))
+      k      <- Gen.choose(1, 30)
+      tau    <- Gen.choose(0.0, 0.95)
+    } yield LakeCase(ids.zip(tables), query, k, tau)
+  }
+
+  private def scoreBits(ranked: IndexedSeq[(String, Double)]): IndexedSeq[(String, Long)] =
+    ranked.map { case (id, u) => (id, java.lang.Double.doubleToRawLongBits(u)) }
+
+  test("Pruning whose filter splits across the cores returns Linear's ids and score bits (property)") {
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60),
+      Prop.forAllNoShrink(genSplitCase) { c =>
+        val s = new UnionSearcher(c.lake, c.tau)
+        c.lake.map(_._2.size).sum >= Search.MinSplitPairs &&
+          scoreBits(s.queryPruning(c.query, c.k).ranked) == scoreBits(s.queryLinear(c.query, c.k).ranked)
+      }).passed)
+  }
+
+  test("LinearIndex probes that split keep the candidate order and return Pruning's positive-score entries (property)") {
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(30),
+      Prop.forAllNoShrink(genSplitCase) { c =>
+        val nCols = c.lake.map(_._2.size).sum
+        val s     = new UnionSearcher(c.lake, c.tau)
+        val exact = new LinearIndex(c.query.head.length)
+        val index = Search.buildColumnIndex(c.lake, d => exact)
+        // the serial merge: query column by query column, first sight wins
+        val owner = c.lake.flatMap { case (id, cols) => cols.map(_ => id) }
+        val inOrder = c.query.flatMap(q => exact.search(q, nCols).collect {
+          case (col, sim) if sim >= c.tau => owner(col) }).distinct
+        nCols >= Search.MinSplitPairs &&
+          index.candidateTables(c.query, c.tau, nCols) == inOrder &&
+          scoreBits(s.queryWithIndex(c.query, c.k, index, probe = nCols).ranked) ==
+            scoreBits(s.queryPruning(c.query, c.k).ranked.filter(_._2 > 0))
+      }).passed)
   }
 }
 

@@ -191,6 +191,26 @@ class HnswSpec extends AnyFunSuite {
     assert(copy.size == h.size && copy.memoryBytes == h.memoryBytes)
   }
 
+  test("searches from 4 threads at once, also after a round trip, leave answers and later inserts as in a sequential twin") {
+    import VectorIndexSpec.{bits, searchedAtOnce}
+    val rnd = new Random(31)
+    val d = 128
+    val vecs    = IndexedSeq.fill(3500)(randomUnit(d, rnd))
+    val queries = IndexedSeq.fill(60)(randomUnit(d, rnd))
+    val h    = new Hnsw(d, seed = 5)
+    val twin = new Hnsw(d, seed = 5)
+    (0 until 3000).foreach { i => h.add(i, vecs(i)); twin.add(i, vecs(i)) }
+    val sequential = queries.map(q => bits(twin.search(q, 16)))
+    searchedAtOnce(h, queries, 16, threads = 4).foreach(a => assert(a.map(bits) == sequential))
+    val copy = roundTrip(h)
+    searchedAtOnce(copy, queries, 16, threads = 4).foreach(a => assert(a.map(bits) == sequential))
+    // inserts after the concurrent searches build the twin's graph
+    (3000 until 3500).foreach { i => copy.add(i, vecs(i)); twin.add(i, vecs(i)) }
+    assert(copy.memoryBytes == twin.memoryBytes)
+    val after = queries.map(q => bits(twin.search(q, 16)))
+    searchedAtOnce(copy, queries, 16, threads = 4).foreach(a => assert(a.map(bits) == after))
+  }
+
   test("m below 2 is rejected") {
     intercept[IllegalArgumentException](new Hnsw(4, m = 1))
   }

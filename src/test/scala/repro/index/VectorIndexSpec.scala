@@ -78,4 +78,65 @@ class VectorIndexSpec extends AnyFunSuite {
     }
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(40), prop).passed)
   }
+
+  test("4 threads searching one index at once get the sequential answers bit for bit, also after a serialization round trip") {
+    import VectorIndexSpec._
+    val rnd = new Random(21)
+    val dim = 32
+    def unit(): Array[Float] = Linalg.normalize(Array.fill(dim)(rnd.nextGaussian().toFloat))
+    val centers = IndexedSeq.fill(30)(unit())
+    def point(): Array[Float] = {
+      val c = centers(rnd.nextInt(centers.size)); val e = unit()
+      Linalg.normalize(Array.tabulate(dim)(p => c(p) + 0.4f * e(p)))
+    }
+    val vecs    = IndexedSeq.fill(2000)(point())
+    val queries = IndexedSeq.fill(80)(point())
+    Seq(new LinearIndex(dim), new SimHashLsh(dim), new Hnsw(dim)).foreach { index =>
+      vecs.zipWithIndex.foreach { case (v, i) => index.add(i, v) }
+      val sequential = queries.map(q => bits(index.search(q, 20)))
+      Seq(index, roundTrip(index)).foreach { ix =>
+        searchedAtOnce(ix, queries, 20, threads = 4).foreach { answers =>
+          assert(answers.map(bits) == sequential, ix.getClass.getSimpleName)
+        }
+      }
+    }
+  }
+}
+
+object VectorIndexSpec {
+  /** each answer as (id, raw score bits), so that equality is bit equality */
+  def bits(res: IndexedSeq[(Int, Float)]): IndexedSeq[(Int, Int)] =
+    res.map { case (id, s) => (id, java.lang.Float.floatToRawIntBits(s)) }
+
+  def roundTrip[T <: VectorIndex](ix: T): T = {
+    import java.io._
+    val bytes = new ByteArrayOutputStream()
+    val out = new ObjectOutputStream(bytes)
+    out.writeObject(ix); out.close()
+    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray)).readObject().asInstanceOf[T]
+  }
+
+  /** The answers to every query, one sequence per thread, from `threads`
+    * threads released together that each search all queries, starting at
+    * its own offset.
+    */
+  def searchedAtOnce(index: VectorIndex, queries: IndexedSeq[Array[Float]], k: Int,
+                     threads: Int): Seq[IndexedSeq[IndexedSeq[(Int, Float)]]] = {
+    val go = new java.util.concurrent.CountDownLatch(1)
+    val failures = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]()
+    val out = Array.fill(threads)(new Array[IndexedSeq[(Int, Float)]](queries.size))
+    val workers = (0 until threads).map { t =>
+      new Thread(() =>
+        try {
+          go.await()
+          queries.indices.foreach { j =>
+            val i = (j + t * queries.size / threads) % queries.size
+            out(t)(i) = index.search(queries(i), k)
+          }
+        } catch { case e: Throwable => failures.add(e) })
+    }
+    workers.foreach(_.start()); go.countDown(); workers.foreach(_.join())
+    assert(failures.isEmpty, s"searches failed: $failures")
+    out.map(_.toIndexedSeq).toSeq
+  }
 }
