@@ -5,6 +5,7 @@ import repro.core.Linalg
 import scala.util.Random
 
 class HnswSpec extends AnyFunSuite {
+  import VectorIndexSpec.{bits, roundTrip, searchedAtOnce}
 
   private def randomUnit(d: Int, rnd: Random): Array[Float] =
     Linalg.normalize(Array.fill(d)(rnd.nextGaussian().toFloat))
@@ -22,15 +23,6 @@ class HnswSpec extends AnyFunSuite {
 
   private def hex(md: java.security.MessageDigest): String =
     md.digest().map(b => f"$b%02x").mkString
-
-  private def roundTrip(h: Hnsw): Hnsw = {
-    import java.io._
-    val bytes = new ByteArrayOutputStream()
-    val out = new ObjectOutputStream(bytes)
-    out.writeObject(h); out.close()
-    new ObjectInputStream(new ByteArrayInputStream(bytes.toByteArray))
-      .readObject().asInstanceOf[Hnsw]
-  }
 
   test("empty index returns nothing") {
     val h = new Hnsw(4)
@@ -192,7 +184,6 @@ class HnswSpec extends AnyFunSuite {
   }
 
   test("searches from 4 threads at once, also after a round trip, leave answers and later inserts as in a sequential twin") {
-    import VectorIndexSpec.{bits, searchedAtOnce}
     val rnd = new Random(31)
     val d = 128
     val vecs    = IndexedSeq.fill(3500)(randomUnit(d, rnd))

@@ -9,6 +9,7 @@ import scala.util.Random
   * index dimension and are unit-norm or all-zero.
   */
 class VectorIndexSpec extends AnyFunSuite {
+  import VectorIndexSpec.{bits, roundTrip, searchedAtOnce}
 
   private val d    = 4
   private val zero = new Array[Float](d)
@@ -80,7 +81,6 @@ class VectorIndexSpec extends AnyFunSuite {
   }
 
   test("4 threads searching one index at once get the sequential answers bit for bit, also after a serialization round trip") {
-    import VectorIndexSpec._
     val rnd = new Random(21)
     val dim = 32
     def unit(): Array[Float] = Linalg.normalize(Array.fill(dim)(rnd.nextGaussian().toFloat))
