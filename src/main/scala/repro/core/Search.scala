@@ -20,10 +20,14 @@ object Search {
                           candidates: Int,
                           elapsedNanos: Long)
 
-  /** Query-column × lake-column pairs below which a part of a query runs
-    * inline on the calling thread; from this many on it is split into one
-    * fork/join task per core. A Pruning filter scores m × (candidate columns)
-    * pairs, and a probe of one query column counts its index's column count.
+  /** Work below which a part of a query runs inline on the calling thread;
+    * from this much on it is split into one fork/join task per core. A
+    * Pruning filter's work is the query-column × candidate-column pairs it
+    * scores. A query's probes are weighed by their index's column count
+    * instead, a deliberate stand-in: what one probe reads depends on the
+    * index (every column for `LinearIndex`, a few buckets for simHash LSH,
+    * about efSearch × degree nodes for HNSW), and the probes measured below
+    * pay reliably only from about 8,000 columns on.
     *
     * Measured on 4 vCPUs (d = 128, 6 query columns, medians of 1,000
     * interleaved calls with 1 ms of other work between them, so that idle
@@ -33,66 +37,73 @@ object Search {
     * LSH index, about 20 µs each, split ran from 40% slower to 25% faster
     * across runs; 4,096 keeps them inline. From 8,192 columns on the probes
     * pay (LSH over 14,500 columns 280 → 184 µs, HNSW over 9,700 columns
-    * 950 → 541 µs).
+    * 950 → 541 µs). HNSW probes over 3,252 columns would pay too (791 →
+    * 452 µs) but stay inline under the stand-in.
     */
-  val MinSplitPairs = 4096
+  val MinSplitWork = 4096
 
   /** most tasks one query part splits into: one per core, the caller's included */
   private val MaxTasks = Runtime.getRuntime.availableProcessors
 
-  /** tasks for a part of `pairs` pairs: one below [[MinSplitPairs]], else one per core */
-  private[core] def tasksFor(pairs: Long): Int = if (pairs < MinSplitPairs) 1 else MaxTasks
+  /** tasks for a part of the given work: one below [[MinSplitWork]], else one per core */
+  private[core] def tasksFor(work: Long): Int = if (work < MinSplitWork) 1 else MaxTasks
 
-  /** Runs body(from, until) over `tasks` contiguous ranges that cut the units
-    * 0 until n at about equal weight; `weight(u)` is the weight of units
-    * 0 until u, non-decreasing in u. One range runs on the calling thread and
-    * the others as fork/join tasks on the common pool, which is safe from
-    * inside the pool too: a worker that joins runs queued tasks itself.
-    * One task runs `body(0, n)` inline.
+  /** Runs body(from, until) over `tasks` ≥ 2 contiguous ranges that cut the
+    * units 0 until n at about equal weight; `weight(u)` is the weight of
+    * units 0 until u, non-decreasing in u. One range runs on the calling
+    * thread and the others as fork/join tasks on the common pool, which is
+    * safe from inside the pool too: a worker that joins runs queued tasks
+    * itself. Callers run a part of one task by calling its body directly.
     */
-  private[core] def forkRanges(n: Int, tasks: Int, weight: Int => Long)(body: (Int, Int) => Unit): Unit =
-    if (tasks <= 1) body(0, n)
-    else {
-      val cut = new Array[Int](tasks + 1)
-      val total = weight(n)
-      var u = 0
-      var p = 1
-      while (p < tasks) {
-        val target = total * p / tasks
-        while (weight(u) < target) u += 1
-        cut(p) = u
-        p += 1
-      }
-      cut(tasks) = n
-      ForkJoinTask.invokeAll(Array.tabulate[ForkJoinTask[_]](tasks) { p =>
-        new RecursiveAction { def compute(): Unit = body(cut(p), cut(p + 1)) }
-      }: _*)
+  private[core] def forkRanges(n: Int, tasks: Int, weight: Int => Long)(body: (Int, Int) => Unit): Unit = {
+    val cut = new Array[Int](tasks + 1)
+    val total = weight(n)
+    var u = 0
+    var p = 1
+    while (p < tasks) {
+      val target = total * p / tasks
+      while (weight(u) < target) u += 1
+      cut(p) = u
+      p += 1
     }
+    cut(tasks) = n
+    ForkJoinTask.invokeAll(Array.tabulate[ForkJoinTask[_]](tasks) { p =>
+      new RecursiveAction { def compute(): Unit = body(cut(p), cut(p + 1)) }
+    }: _*)
+  }
 
   /** Column-level index over every column embedding of the lake, remembering
     * which table owns each vector. findCandidates(s, τ) = tables owning a
     * column with sim ≥ τ among the index's top-`probe` answers for s.
     *
-    * The probes of one query's columns run side by side when the index holds
-    * at least [[MinSplitPairs]] columns, so the index's searches must be
-    * safe to run concurrently ([[VectorIndex]]); the answers are merged in
-    * query-column order, which keeps the candidate order.
+    * The probes of one query's columns run side by side when the index
+    * declares [[VectorIndex.concurrentSearch]] and holds at least
+    * [[MinSplitWork]] columns; the answers are merged in query-column order,
+    * which keeps the candidate order. Over any other index they run on the
+    * calling thread, one after another.
     */
   final class ColumnIndex(index: VectorIndex, owner: IndexedSeq[String]) {
     def candidateTables(queryCols: IndexedSeq[Array[Float]], tau: Double,
                         probe: Int): IndexedSeq[String] = {
       val m = queryCols.size
       val answers = new Array[IndexedSeq[(Int, Float)]](m)
-      forkRanges(m, math.min(m, tasksFor(index.size)), i => i) { (from, until) =>
-        var i = from
-        while (i < until) { answers(i) = index.search(queryCols(i), probe); i += 1 }
-      }
+      val tasks = if (index.concurrentSearch) math.min(m, tasksFor(index.size)) else 1
+      if (tasks == 1) probeRange(queryCols, probe, answers, 0, m)
+      else forkRanges(m, tasks, i => i)(probeRange(queryCols, probe, answers, _, _))
       val out = mutable.LinkedHashSet[String]()
       answers.foreach(_.foreach { case (colId, sim) =>
         if (sim >= tau) out += owner(colId)
       })
       out.toIndexedSeq
     }
+
+    /** answers(i) = the top-`probe` answers for query column i, from until `until` */
+    private def probeRange(queryCols: IndexedSeq[Array[Float]], probe: Int,
+                           answers: Array[IndexedSeq[(Int, Float)]], from: Int, until: Int): Unit = {
+      var i = from
+      while (i < until) { answers(i) = index.search(queryCols(i), probe); i += 1 }
+    }
+
     def memoryBytes: Long = index.memoryBytes
   }
 
@@ -191,7 +202,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     * The filter computes every query-column × candidate-column similarity in
     * one `Linalg.dotBlock` pass, with the candidates' columns side by side,
     * then both bounds of each table from one sort of its τ-surviving edges.
-    * From [[Search.MinSplitPairs]] similarities on, the filter runs as one
+    * From [[Search.MinSplitWork]] similarities on, the filter runs as one
     * fork/join task per core, each over a contiguous candidate range of
     * about equal column count, writing disjoint slices of `sim`, `lbs` and
     * `ubs`. Every float operation is the serial one, so the ranked list does
@@ -218,24 +229,9 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     val sim = new Array[Float](m * width)
     val lbs = new Array[Double](nt)
     val ubs = new Array[Double](nt)
-    forkRanges(nt, tasksFor(m.toLong * width), c => start(c)) { (first, end) =>
-      Linalg.dotBlock(q, block, start(first), start(end), sim)
-      val edges = new Bounds.EdgeList(m, maxCols, tau)
-      var c = first
-      while (c < end) {
-        val from = start(c); val n = start(c + 1) - from
-        edges.clear()
-        var i = 0
-        while (i < m) {
-          var j = 0
-          while (j < n) { edges.add(i, j, sim(i * width + from + j).toDouble); j += 1 }
-          i += 1
-        }
-        edges.bound(m, n)
-        lbs(c) = edges.lb; ubs(c) = edges.ub
-        c += 1
-      }
-    }
+    val tasks = tasksFor(m.toLong * width)
+    if (tasks == 1) filterRange(q, block, start, sim, lbs, ubs, 0, nt)
+    else forkRanges(nt, tasks, c => start(c))(filterRange(q, block, start, sim, lbs, ubs, _, _))
     // admission floor: at least k tables have exact score ≥ kth-largest LB
     val lbFloor =
       if (nt >= k) { val s = lbs.clone(); java.util.Arrays.sort(s); s(nt - k) }
@@ -269,6 +265,34 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     }
     Result(heap.dequeueAll.reverse.toIndexedSeq, verifications, nt,
            System.nanoTime() - t0)
+  }
+
+  /** Pruning's filter over candidates first until end: the similarities of
+    * block columns start(first) until start(end) into `sim` (row i at
+    * i × block.length), then both bounds of each of those candidates into
+    * `lbs` and `ubs`, from one sort of its τ-surviving edges.
+    */
+  private def filterRange(q: Array[Array[Float]], block: Array[Array[Float]], start: Array[Int],
+                          sim: Array[Float], lbs: Array[Double], ubs: Array[Double],
+                          first: Int, end: Int): Unit = {
+    Linalg.dotBlock(q, block, start(first), start(end), sim)
+    val m = q.length
+    val width = block.length
+    val edges = new Bounds.EdgeList(m, maxCols, tau)
+    var c = first
+    while (c < end) {
+      val from = start(c); val n = start(c + 1) - from
+      edges.clear()
+      var i = 0
+      while (i < m) {
+        var j = 0
+        while (j < n) { edges.add(i, j, sim(i * width + from + j).toDouble); j += 1 }
+        i += 1
+      }
+      edges.bound(m, n)
+      lbs(c) = edges.lb; ubs(c) = edges.ub
+      c += 1
+    }
   }
 
   /** Index-backed search: the ColumnIndex proposes candidate tables

@@ -25,8 +25,9 @@ import scala.collection.immutable.ArraySeq
   * answers are those of one `dot` per neighbour.
   *
   * Each thread keeps its own search buffers, reused across its calls, so
-  * several threads may search one instance at once. `add` links the graph in
-  * place: it must not run at the same time as another `add` or a search.
+  * several threads may search one instance at once ([[concurrentSearch]]).
+  * `add` links the graph in place: it must not run at the same time as
+  * another `add` or a search.
   */
 final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
                  efSearch: Int = 64, seed: Long = 42) extends VectorIndex {
@@ -56,6 +57,8 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   @inline private def capAt(layer: Int): Int = if (layer == 0) mMax0 else m
 
   override def size: Int = n
+  /** each thread searches with its own buffers */
+  override def concurrentSearch: Boolean = true
 
   override def add(id: Int, vec: Array[Float]): Unit = {
     VectorIndex.requireInput(vec, dim, "vector")

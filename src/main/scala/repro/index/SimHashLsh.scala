@@ -63,6 +63,8 @@ final class SimHashLsh(dim: Int, nTables: Int = 8, bitsPerTable: Int = 12,
   }
 
   override def size: Int = vecs.size
+  /** searches only read the buckets and vectors */
+  override def concurrentSearch: Boolean = true
   override def memoryBytes: Long = {
     val bucketEntries = buckets.iterator.map(_.valuesIterator.map(_.size.toLong).sum).sum
     size.toLong * (4L + 4L * dim) +          // vectors

@@ -7,9 +7,10 @@ import repro.core.Linalg
   * added and query vector has the index dimension and is unit-norm or
   * all-zero ([[VectorIndex.requireInput]]).
   *
-  * Searches may run from several threads at once on one instance (a query
-  * probes its columns side by side, `Search.ColumnIndex`); `add` must not
-  * run at the same time as another `add` or a search.
+  * `add` must not run at the same time as another `add` or a search. An
+  * index whose searches may also run from several threads at once on one
+  * instance says so with [[concurrentSearch]]; `Search.ColumnIndex` probes a
+  * query's columns side by side only then.
   */
 trait VectorIndex extends Serializable {
   /** insert a vector */
@@ -19,6 +20,11 @@ trait VectorIndex extends Serializable {
   def size: Int
   /** approximate in-memory footprint in bytes, for the Table 6 experiment */
   def memoryBytes: Long
+  /** true when searches on one instance may run from several threads at
+    * once; false, the default, keeps every search of a query on its calling
+    * thread, as a wrapper that does not forward this needs
+    */
+  def concurrentSearch: Boolean = false
 }
 
 object VectorIndex {
@@ -63,4 +69,6 @@ final class LinearIndex(dim: Int) extends VectorIndex {
 
   override def size: Int = ids.size
   override def memoryBytes: Long = size.toLong * (4L + 4L * dim)
+  /** searches only read */
+  override def concurrentSearch: Boolean = true
 }

@@ -2,7 +2,8 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.scalatest.funsuite.AnyFunSuite
-import repro.index.{Hnsw, LinearIndex, SimHashLsh}
+import repro.index.{Hnsw, LinearIndex, SimHashLsh, VectorIndex}
+import scala.jdk.CollectionConverters._
 import scala.util.Random
 
 class SearchSpec extends AnyFunSuite {
@@ -169,11 +170,11 @@ class SearchSpec extends AnyFunSuite {
 
   test("queries issued from inside a parallel stream equal the sequential ones, on a lake whose filter and probes split") {
     // 1,200 tables of 4 columns: every query's filter and each probe of the
-    // 4,800-column indexes cover at least MinSplitPairs pairs, so they fork
+    // 4,800-column indexes cover at least MinSplitWork, so they fork
     // from inside the common pool's workers, as nested tasks
     val big = mkLake(nGroups = 60, perGroup = 20, cols = 4, d = 16, seed = 11)
     val nCols = big.map(_._2.size).sum
-    assert(nCols >= Search.MinSplitPairs)
+    assert(nCols >= Search.MinSplitWork)
     val s = new UnionSearcher(big, tau = 0.5)
     val hnsw = Search.buildColumnIndex(big, d => new Hnsw(d, seed = 3))
     val lsh  = Search.buildColumnIndex(big, d => new SimHashLsh(d, seed = 3))
@@ -188,6 +189,30 @@ class SearchSpec extends AnyFunSuite {
       java.util.stream.IntStream.range(0, queries.size).parallel()
         .forEach((i: Int) => parallel(i) = run(queries(i)))
       assert(parallel.toSeq == sequential)
+    }
+  }
+
+  test("an index that does not declare concurrent search is probed from the calling thread only, with the same candidates") {
+    // a wrapper that does not forward concurrentSearch, over an index large
+    // enough that its probes would split
+    final class Recording(inner: VectorIndex) extends VectorIndex {
+      val threads = java.util.concurrent.ConcurrentHashMap.newKeySet[Thread]()
+      override def add(id: Int, vec: Array[Float]): Unit = inner.add(id, vec)
+      override def search(query: Array[Float], k: Int): IndexedSeq[(Int, Float)] = {
+        threads.add(Thread.currentThread); inner.search(query, k)
+      }
+      override def size: Int = inner.size
+      override def memoryBytes: Long = inner.memoryBytes
+    }
+    val big = mkLake(nGroups = 60, perGroup = 20, cols = 4, d = 16, seed = 13)
+    assert(big.map(_._2.size).sum >= Search.MinSplitWork)
+    val recording = new Recording(new LinearIndex(16))
+    val wrapped = Search.buildColumnIndex(big, _ => recording)
+    val direct  = Search.buildColumnIndex(big, d => new LinearIndex(d))
+    big.indices.filter(_ % 97 == 0).foreach { t =>
+      recording.threads.clear()
+      assert(wrapped.candidateTables(big(t)._2, 0.5, 64) == direct.candidateTables(big(t)._2, 0.5, 64))
+      assert(recording.threads.asScala.toSet == Set(Thread.currentThread))
     }
   }
 
@@ -240,7 +265,7 @@ class SearchSpec extends AnyFunSuite {
     }))
   }
 
-  /** A lake of about 2 × MinSplitPairs columns and a query of 1–6 columns, so
+  /** A lake of about 2 × MinSplitWork columns and a query of 1–6 columns, so
     * that Pruning's filter and every probe of an index over the lake split:
     * tables of 0–8 columns drawn around a pool of six directions, with
     * repeats, ties and shuffled ids as in `genCase`.
@@ -255,7 +280,7 @@ class SearchSpec extends AnyFunSuite {
                   yield Linalg.normalize(c.zip(e).map { case (a, b) => (a + noise * b).toFloat }.toArray)
       m      <- Gen.choose(1, 6)
       query  <- Gen.listOfN(m, col).map(_.toIndexedSeq)
-      n       = Search.MinSplitPairs / 2 + 1
+      n       = Search.MinSplitWork / 2 + 1
       tables <- Gen.listOfN(n, Gen.choose(0, 8).flatMap(Gen.listOfN(_, col)).map(_.toIndexedSeq))
       ids    <- Gen.long.map(seed => new Random(seed).shuffle((0 until n).map(i => s"t$i")))
       k      <- Gen.choose(1, 30)
@@ -270,7 +295,7 @@ class SearchSpec extends AnyFunSuite {
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60),
       Prop.forAllNoShrink(genSplitCase) { c =>
         val s = new UnionSearcher(c.lake, c.tau)
-        c.lake.map(_._2.size).sum >= Search.MinSplitPairs &&
+        c.lake.map(_._2.size).sum >= Search.MinSplitWork &&
           scoreBits(s.queryPruning(c.query, c.k).ranked) == scoreBits(s.queryLinear(c.query, c.k).ranked)
       }).passed)
   }
@@ -286,7 +311,7 @@ class SearchSpec extends AnyFunSuite {
         val owner = c.lake.flatMap { case (id, cols) => cols.map(_ => id) }
         val inOrder = c.query.flatMap(q => exact.search(q, nCols).collect {
           case (col, sim) if sim >= c.tau => owner(col) }).distinct
-        nCols >= Search.MinSplitPairs &&
+        nCols >= Search.MinSplitWork &&
           index.candidateTables(c.query, c.tau, nCols) == inOrder &&
           scoreBits(s.queryWithIndex(c.query, c.k, index, probe = nCols).ranked) ==
             scoreBits(s.queryPruning(c.query, c.k).ranked.filter(_._2 > 0))

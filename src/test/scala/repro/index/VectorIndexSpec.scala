@@ -92,6 +92,7 @@ class VectorIndexSpec extends AnyFunSuite {
     val vecs    = IndexedSeq.fill(2000)(point())
     val queries = IndexedSeq.fill(80)(point())
     Seq(new LinearIndex(dim), new SimHashLsh(dim), new Hnsw(dim)).foreach { index =>
+      assert(index.concurrentSearch, index.getClass.getSimpleName)
       vecs.zipWithIndex.foreach { case (v, i) => index.add(i, v) }
       val sequential = queries.map(q => bits(index.search(q, 20)))
       Seq(index, roundTrip(index)).foreach { ix =>
