@@ -88,7 +88,7 @@ object Search {
       val m = queryCols.size
       val answers = new Array[IndexedSeq[(Int, Float)]](m)
       val tasks = if (index.concurrentSearch) math.min(m, tasksFor(index.size)) else 1
-      if (tasks == 1) probeRange(queryCols, probe, answers, 0, m)
+      if (tasks <= 1) probeRange(queryCols, probe, answers, 0, m)
       else forkRanges(m, tasks, i => i)(probeRange(queryCols, probe, answers, _, _))
       val out = mutable.LinkedHashSet[String]()
       answers.foreach(_.foreach { case (colId, sim) =>
@@ -97,7 +97,7 @@ object Search {
       out.toIndexedSeq
     }
 
-    /** answers(i) = the top-`probe` answers for query column i, from until `until` */
+    /** answers(i) = the top-`probe` answers for query column i, for i = from until `until` */
     private def probeRange(queryCols: IndexedSeq[Array[Float]], probe: Int,
                            answers: Array[IndexedSeq[(Int, Float)]], from: Int, until: Int): Unit = {
       var i = from
