@@ -2,7 +2,6 @@ package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.exp.Tables
-import repro.lake.Benchmarks
 
 /** Table 2 — benchmark statistics at our (documented) local scale.
   * Paper: SANTOS Small 550 tables / 6,322 cols; TUS Small 1,530 / 14,810;
@@ -11,9 +10,7 @@ import repro.lake.Benchmarks
 class Table2StatsBench extends AnyFunSuite {
 
   test("Table 2: corpus statistics") {
-    val profiles = Benchmarks.effectiveness :+
-      BenchContext.santosLargeProfile :+ BenchContext.wdcProfile
-    val rows = Tables.table2(profiles)
+    val rows = Tables.table2(BenchContext.santosLargeTables, BenchContext.wdcMaxTables)
     println("\n=== Table 2 (measured) ===")
     println(Tables.renderT2(rows))
 

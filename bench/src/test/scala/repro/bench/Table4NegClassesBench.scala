@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.Metrics
 import repro.exp.{Experiments, Tables}
 
 /** Table 4 — micro-benchmark: Starmie MAP on 470-table lakes with 25%
@@ -13,8 +12,7 @@ import repro.exp.{Experiments, Tables}
 class Table4NegClassesBench extends AnyFunSuite {
 
   test("Table 4: effect of the number of negative classes") {
-    val rows = Experiments.negativeClasses(BenchContext.tusSmall.lake,
-                                           BenchContext.tusSmall.models.feat)
+    val rows = Experiments.negativeClasses(BenchContext.tusSmall.lake)
     println("\n=== Table 4 (measured) ===")
     println(Tables.renderT4(rows))
 

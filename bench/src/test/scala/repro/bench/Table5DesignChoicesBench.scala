@@ -1,7 +1,6 @@
 package repro.bench
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.exp.Experiments
 import repro.exp.Experiments.{HnswIdx, Linear, Lsh, Pruning}
 import repro.exp.Tables
 
@@ -12,14 +11,13 @@ import repro.exp.Tables
   */
 class Table5DesignChoicesBench extends AnyFunSuite {
 
+  private lazy val rows   = Tables.table5(BenchContext.santosSmall)
+  private lazy val byTech = rows.map(r => r.technique -> r).toMap
+
   test("Table 5: design choices for Starmie on SANTOS Small") {
-    val lake = BenchContext.santosSmall.lake
-    val rows = Tables.table58(lake, Seq(BenchContext.santosSmallStarmie),
-                              BenchContext.santosSmall.profile.k)
     println("\n=== Table 5 (measured, Starmie rows) ===")
     println(Tables.renderT58(rows))
 
-    val byTech = rows.map(r => r.technique -> r).toMap
     // pruning is exact: identical effectiveness to linear
     assert(math.abs(byTech(Linear).map - byTech(Pruning).map) < 1e-9)
     assert(math.abs(byTech(Linear).r - byTech(Pruning).r) < 1e-9)
@@ -34,15 +32,12 @@ class Table5DesignChoicesBench extends AnyFunSuite {
   }
 
   test("§5.3: pruning reduces verification count vs linear") {
-    val lake = BenchContext.santosSmall.lake
-    val emb  = BenchContext.santosSmallStarmie
-    val lin = Experiments.evalEmbedding(lake, emb, 10, Linear)
-    val prn = Experiments.evalEmbedding(lake, emb, 10, Pruning)
-    println(f"\nAvg verifications/query: Linear=${lin.avgVerifications}%.0f " +
-            f"Pruning=${prn.avgVerifications}%.0f " +
-            f"(${100 * (1 - prn.avgVerifications / lin.avgVerifications)}%.0f%% reduction; " +
+    val lin = byTech(Linear); val prn = byTech(Pruning)
+    println(f"\nAvg verifications/query: Linear=${lin.verifications}%.0f " +
+            f"Pruning=${prn.verifications}%.0f " +
+            f"(${100 * (1 - prn.verifications / lin.verifications)}%.0f%% reduction; " +
             "paper: 550 → 342, 38%)")
-    assert(prn.avgVerifications < lin.avgVerifications * 0.9,
+    assert(prn.verifications < lin.verifications * 0.9,
       "pruning should remove a material share of verifications")
     assert(math.abs(prn.map - lin.map) < 1e-9)
   }

@@ -13,9 +13,7 @@ import repro.exp.Tables
 class Table8FullEfficiencyBench extends AnyFunSuite {
 
   test("Table 8: efficiency techniques across all embedding methods") {
-    val lake = BenchContext.santosSmall.lake
-    val k    = BenchContext.santosSmall.profile.k
-    val rows = Tables.table58(lake, BenchContext.santosSmallEmbeddings, k)
+    val rows = Tables.table8(BenchContext.santosSmall)
     println("\n=== Table 8 (measured) ===")
     println(Tables.renderT58(rows))
 

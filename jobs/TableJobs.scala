@@ -2,11 +2,12 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.exp.{Experiments, Tables}
-import repro.lake.{Benchmarks, LakeGen}
+import repro.exp.Experiments.Effectiveness
+import repro.lake.Benchmarks
 
-/** spark-submit entrypoints, one per paper table / figure. Each wraps the
-  * same experiment functions the bench suites assert on (repro.exp.Experiments
-  * and repro.exp.Tables). Only Table 7 uses Spark, for MLlib GBT.
+/** spark-submit entrypoints, one per paper table / figure. Each calls the
+  * table's driver in repro.exp, as its bench suite does, and prints it with
+  * the table's renderer. Only Table 7 uses Spark, for MLlib GBT.
   *
   *   spark-submit --class repro.jobs.Table3Effectiveness repro.jar
   */
@@ -20,39 +21,29 @@ object JobUtil {
 }
 
 object Table2Stats {
-  def main(args: Array[String]): Unit = {
-    val profiles = Benchmarks.effectiveness :+ Benchmarks.santosLarge() :+ Benchmarks.wdc(30000)
-    println(Tables.renderT2(Tables.table2(profiles)))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderT2(Tables.table2(Benchmarks.SantosLargeTables, Benchmarks.WdcMaxTables)))
 }
 
 object Table3Effectiveness {
   def main(args: Array[String]): Unit =
-    println(Tables.renderT3(Benchmarks.effectiveness.map(Experiments.effectiveness(_))))
+    println(Tables.renderT3(Benchmarks.effectiveness.map(new Effectiveness(_))))
 }
 
 object Table4NegClasses {
-  def main(args: Array[String]): Unit = {
-    val res = Experiments.effectiveness(Benchmarks.tusSmall)
-    println(Tables.renderT4(Experiments.negativeClasses(res.lake, res.models.feat)))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderT4(Experiments.negativeClasses(new Effectiveness(Benchmarks.tusSmall).lake)))
 }
 
 object Table5DesignChoices {
-  def main(args: Array[String]): Unit = {
-    val res = Experiments.effectiveness(Benchmarks.santosSmall)
-    val emb = Experiments.embedLake(res.lake, res.models.starmie)
-    println(Tables.renderT58(Tables.table58(res.lake, Seq(emb), res.profile.k)))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderT58(Tables.table5(new Effectiveness(Benchmarks.santosSmall))))
 }
 
 object Table6Memory {
   def main(args: Array[String]): Unit = {
-    val profile = Benchmarks.santosLarge()
-    val lake    = LakeGen.generate(profile.cfg)
-    val models  = Experiments.trainModels(lake, profile)
-    val emb     = Experiments.embedLake(lake, models.starmie)
-    println(Tables.renderT6(lake.sizeBytes / 1e6, Experiments.memoryOverhead(lake, emb)))
+    val (lake, rows) = Experiments.memoryOverhead()
+    println(Tables.renderT6(lake, rows))
   }
 }
 
@@ -69,34 +60,23 @@ object Table7MlDiscovery {
 }
 
 object Table8FullEfficiency {
-  def main(args: Array[String]): Unit = {
-    val res  = Experiments.effectiveness(Benchmarks.santosSmall)
-    val embs = Tables.allEmbeddings(res.lake, res.models)
-    println(Tables.renderT58(Tables.table58(res.lake, embs, res.profile.k)))
-  }
+  def main(args: Array[String]): Unit =
+    println(Tables.renderT58(Tables.table8(new Effectiveness(Benchmarks.santosSmall))))
 }
 
 object Table10Clustering {
   def main(args: Array[String]): Unit = {
-    val profile = Benchmarks.clustering
-    val lake    = LakeGen.generate(profile.cfg)
-    val models  = Experiments.trainModels(lake, profile)
-    val target  = math.max(lake.colContextualType.values.toSet.size,
-                           lake.totalColumns / 5)
-    val (rows, results) = Tables.table10(lake,
-      Seq(models.starmie, models.sato, models.sherlock, models.singleCol), target)
-    println(Tables.renderT10(rows))
-    println(Tables.renderT9(lake, results("starmie")))
+    val res = Tables.table10()
+    println(Tables.renderT10(res.rows))
+    println(Tables.renderT9(res.lake, res.starmie))
   }
 }
 
 object Fig10Scalability {
   def main(args: Array[String]): Unit = {
-    val profile = Benchmarks.santosLarge()
-    val lake    = LakeGen.generate(profile.cfg)
-    val models  = Experiments.trainModels(lake, profile)
-    val emb     = Experiments.embedLake(lake, models.starmie)
-    val sizes   = Seq(1000, 3000, lake.tables.size).distinct
-    println(Tables.renderFig10(Experiments.scalability(lake, emb, 10, sizes)))
+    val (santosLarge, wdc) = Experiments.scalability(Benchmarks.SantosLargeTables, Benchmarks.WdcMaxTables)
+    println(Tables.renderFig10(santosLarge))
+    println()
+    println(Tables.renderFig10(wdc))
   }
 }

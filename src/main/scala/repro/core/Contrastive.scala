@@ -17,21 +17,24 @@ object Contrastive {
 
   final case class TrainConfig(
       embedDim: Int    = 128,
-      temperature: Double = 0.07, // paper: fixed to 0.07 empirically
       batchTables: Int = 8,
       epochs: Int      = 12,
       maxSteps: Int    = 1200,
-      lr: Double       = 0.2,
       op: String       = "drop_col", // paper ablation: best on SANTOS Small
       seed: Long       = 42,
-      /** L2 pull toward the init W₀ — the analogue of fine-tuning staying
-        * close to the pre-trained prior; curbs memorization of in-batch
-        * false negatives (same-template tables drawn as "random" negatives).
-        */
-      anchorWeight: Double = 0.02,
-      /** input-feature dropout during training (RoBERTa-style regularizer) */
-      dropout: Double = 0.3,
   )
+
+  /** NT-Xent temperature τ (paper: fixed to 0.07 empirically) */
+  final val Temperature = 0.07
+  /** SGD learning rate */
+  final val LearningRate = 0.2
+  /** L2 pull toward the init W₀ — the analogue of fine-tuning staying close
+    * to the pre-trained prior; curbs memorization of in-batch false
+    * negatives (same-template tables drawn as "random" negatives).
+    */
+  final val AnchorWeight = 0.02
+  /** input-feature dropout during training (RoBERTa-style regularizer) */
+  final val Dropout = 0.3
 
   /** One SGD step on W for a batch of inputs `xs` (the non-zero entries of
     * each input vector) with `positives`. Returns the batch loss (Eq. 1–3:
@@ -117,21 +120,19 @@ object Contrastive {
     * non-zero entries. One draw per entry, zero or not, in index order, so
     * the stream is the one a dense mask over `x` would draw.
     */
-  private def dropout(x: Array[Float], p: Double, rnd: Random): Linalg.SparseVec =
-    if (p <= 0) Linalg.sparse(x)
-    else {
-      val scale = (1.0 / (1.0 - p)).toFloat
-      val idx = new Array[Int](x.length); val vals = new Array[Float](x.length)
-      var n = 0; var i = 0
-      while (i < x.length) {
-        if (rnd.nextDouble() >= p) {
-          val v = x(i) * scale
-          if (v != 0.0f) { idx(n) = i; vals(n) = v; n += 1 }
-        }
-        i += 1
+  private def dropout(x: Array[Float], rnd: Random): Linalg.SparseVec = {
+    val scale = (1.0 / (1.0 - Dropout)).toFloat
+    val idx = new Array[Int](x.length); val vals = new Array[Float](x.length)
+    var n = 0; var i = 0
+    while (i < x.length) {
+      if (rnd.nextDouble() >= Dropout) {
+        val v = x(i) * scale
+        if (v != 0.0f) { idx(n) = i; vals(n) = v; n += 1 }
       }
-      new Linalg.SparseVec(java.util.Arrays.copyOf(idx, n), java.util.Arrays.copyOf(vals, n))
+      i += 1
     }
+    new Linalg.SparseVec(java.util.Arrays.copyOf(idx, n), java.util.Arrays.copyOf(vals, n))
+  }
 
   /** The SimCLR loop of Algorithm 1, shared by both learners: each epoch
     * shuffles `units`, groups them into batches of `batchSize`, and takes one
@@ -153,7 +154,7 @@ object Contrastive {
       .take(cfg.maxSteps)
       .foreach { b =>
         val (xs, pos) = batch(b, rnd)
-        step(w, xs, pos, cfg.temperature, cfg.lr, cfg.anchorWeight, w0)
+        step(w, xs, pos, Temperature, LearningRate, AnchorWeight, w0)
       }
     w
   }
@@ -180,9 +181,9 @@ object Contrastive {
           if (c eq t.columns(o)) own(o) else feat.columnFeatures(c)
         }
         val oriBase = xs.size
-        xs ++= feat.contextualInputs(own).map(dropout(_, cfg.dropout, rnd))
+        xs ++= feat.contextualInputs(own).map(dropout(_, rnd))
         val augBase = xs.size
-        xs ++= feat.contextualInputs(viewOwn).map(dropout(_, cfg.dropout, rnd))
+        xs ++= feat.contextualInputs(viewOwn).map(dropout(_, rnd))
         view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
           pos += ((oriBase + origIdx, augBase + augIdx))
         }
@@ -199,10 +200,10 @@ object Contrastive {
                         cfg: TrainConfig = TrainConfig()): Array[Array[Float]] =
     train(tables.flatMap(_.columns).toIndexedSeq, cfg.batchTables * 6, feat.cfg.colDim, cfg) {
       (batch, rnd) =>
-        val own  = batch.map(c => dropout(feat.columnFeatures(c), cfg.dropout, rnd))
+        val own  = batch.map(c => dropout(feat.columnFeatures(c), rnd))
         val view = batch.map { c =>
           val aug = ColumnData(c.name, rnd.shuffle(c.values).take(math.max(1, c.values.size / 2)))
-          dropout(feat.columnFeatures(aug), cfg.dropout, rnd)
+          dropout(feat.columnFeatures(aug), rnd)
         }
         (own ++ view, batch.indices.map(i => (i, i + batch.size)))
     }

@@ -12,14 +12,7 @@ import scala.util.hashing.MurmurHash3
   * vector of the *sibling* columns supplies the table context that the
   * paper's self-attention provides.
   */
-final case class FeatConfig(hashDim: Int = 512, seed: Int = 0x5f3a,
-                            /** scale of the context block relative to the
-                              * own block: large enough to separate homographs
-                              * (Figure 1), small enough that sibling-subset
-                              * variance between two projections of the same
-                              * base table does not drown the value match
-                              */
-                            ctxWeight: Float = 0.5f) {
+final case class FeatConfig(hashDim: Int = 512, seed: Int = 0x5f3a) {
   val statDim: Int = 12
   /** dimension of a single column's own feature block */
   val colDim: Int = hashDim + statDim
@@ -120,7 +113,7 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
   }
 
   /** Contextualized encoder inputs for every column of a table:
-    * x_i = [own_i ; ctxWeight · context_i], dimension [[FeatConfig.contextDim]].
+    * x_i = [own_i ; CtxWeight · context_i], dimension [[FeatConfig.contextDim]].
     */
   def tableInputs(t: TableData): IndexedSeq[Array[Float]] =
     contextualInputs(t.columns.map(columnFeatures))
@@ -135,11 +128,20 @@ class Featurizer(val cfg: FeatConfig = FeatConfig()) extends Serializable {
       System.arraycopy(own(i), 0, x, 0, cfg.colDim)
       val ctx = contextFeatures(own, i)
       var k = 0
-      while (k < cfg.colDim) { x(cfg.colDim + k) = cfg.ctxWeight * ctx(k); k += 1 }
+      while (k < cfg.colDim) { x(cfg.colDim + k) = Featurizer.CtxWeight * ctx(k); k += 1 }
       x
     }
 
   /** Whole-table token distribution — the SATO "topic" stand-in. */
   def tableTopic(t: TableData): Array[Float] =
     hashedTokens(t.columns.flatMap(_.tokens))
+}
+
+object Featurizer {
+  /** Scale of the context block relative to the own block: large enough to
+    * separate homographs (Figure 1), small enough that sibling-subset
+    * variance between two projections of the same base table does not drown
+    * the value match.
+    */
+  final val CtxWeight = 0.5f
 }

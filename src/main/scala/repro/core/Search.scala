@@ -128,7 +128,8 @@ object Search {
 
 /** Top-k searcher over a fixed embedded lake. `tau` is the column-similarity
   * lower bound of §4.1 (edge threshold in the bipartite graph). Table ids
-  * must be distinct, and every query asks for `k > 0` tables.
+  * must be distinct and the lake's columns must share one dimension; every
+  * query asks for `k > 0` tables, with columns of that dimension.
   *
   * The searcher holds every lake column by reference in one array, table by
   * table, with `Int` offsets and one id → table-index map. Queries keep all
@@ -146,6 +147,10 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
 
   /** every lake column, table by table; table t owns cols(offsets(t) until offsets(t + 1)) */
   private val cols: Array[Array[Float]] = lake.iterator.flatMap(_._2).toArray
+  /** the lake columns' one dimension; -1 for a lake without columns */
+  private val dim = if (cols.isEmpty) -1 else cols(0).length
+  require(cols.forall(_.length == dim),
+    s"lake columns must share one dimension; found ${cols.map(_.length).distinct.mkString(", ")}")
   private val offsets: Array[Int] = lake.iterator.map(_._2.size).scanLeft(0)(_ + _).toArray
   private val maxCols = if (lake.isEmpty) 0 else lake.iterator.map(_._2.size).max
 
@@ -158,13 +163,19 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
   private def newHeap = mutable.PriorityQueue[(String, Double)]()(
     Ordering.by(e => (-e._2, e._1)))
 
+  private def checkQuery(qEmb: IndexedSeq[Array[Float]], k: Int): Unit = {
+    require(k > 0, s"k must be positive, got $k")
+    require(dim < 0 || qEmb.forall(_.length == dim),
+      s"query columns must have the lake's dimension $dim; found ${qEmb.map(_.length).distinct.mkString(", ")}")
+  }
+
   /** Exact verification U(S,T) — the expensive bipartite-matching call. */
   def verify(qEmb: IndexedSeq[Array[Float]], tableId: String): Double =
     Matching.tableUnionability(qEmb, lake(indexOf(tableId))._2, tau)
 
   /** Linear scan: verify every table, keep a k-min-heap. */
   def queryLinear(qEmb: IndexedSeq[Array[Float]], k: Int): Result = {
-    require(k > 0, s"k must be positive, got $k")
+    checkQuery(qEmb, k)
     val t0 = System.nanoTime()
     val heap = newHeap
     var verifications = 0L
@@ -210,7 +221,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     */
   def queryPruning(qEmb: IndexedSeq[Array[Float]], k: Int,
                    candidateIds: Option[IndexedSeq[String]] = None): Result = {
-    require(k > 0, s"k must be positive, got $k")
+    checkQuery(qEmb, k)
     val t0 = System.nanoTime()
     val tables = candidateIndexes(candidateIds)
     val nt = tables.length
@@ -301,6 +312,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     */
   def queryWithIndex(qEmb: IndexedSeq[Array[Float]], k: Int,
                      index: Search.ColumnIndex, probe: Int = 64): Result = {
+    checkQuery(qEmb, k)
     val t0    = System.nanoTime()
     val cands = index.candidateTables(qEmb, tau, probe)
     val res   = queryPruning(qEmb, k, Some(cands))

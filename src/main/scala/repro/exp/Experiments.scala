@@ -2,15 +2,22 @@ package repro.exp
 
 import repro.core._
 import repro.index.{Hnsw, SimHashLsh, VectorIndex}
+import repro.lake.Benchmarks
 import repro.lake.Benchmarks.Profile
 import repro.lake.LakeGen
 import repro.lake.LakeGen.Lake
 import repro.baselines._
 
-/** The experiments of Tables 3–6, 8 and Fig 10. Every jobs/ main and every
-  * bench suite calls these (or `Tables`, for the tables whose code does work
-  * of its own), so the bench numbers and the jobs/ numbers are the same code
-  * path.
+/** The evaluation machinery of §5 (offline models, the four design choices,
+  * the per-query evaluation) and the drivers of Tables 3, 4, 6 and Fig 10;
+  * `Tables` holds the other drivers and every renderer.
+  *
+  * One driver per paper table owns that table's whole workload: profiles
+  * from `Benchmarks`, the models it trains, `k`, lake sizes and query counts.
+  * Its jobs/ main and its bench suite call it with the same arguments, which
+  * are only Table 3's `Effectiveness` (reused by Tables 4, 5 and 8) and the
+  * sizes of the two scalability corpora, so bench and jobs/ numbers come
+  * from one code path.
   */
 object Experiments {
 
@@ -36,23 +43,18 @@ object Experiments {
 
   // ---- offline stage -------------------------------------------------------
 
-  /** Train the two Starmie encoders (multi-column + SingleCol) and the
-    * Sherlock/SATO baselines for a lake.
+  /** The models of one lake, each trained on first use: the two Starmie
+    * encoders (multi-column and SingleCol) and the Sherlock/SATO baselines.
     */
-  final case class LakeModels(feat: Featurizer, starmie: StarmieEncoder,
-                              singleCol: SingleColEncoder,
-                              sherlock: SherlockEncoder, sato: SatoEncoder)
-
-  def trainModels(lake: Lake, profile: Profile,
-                  trainCfg: Contrastive.TrainConfig = Contrastive.TrainConfig()): LakeModels = {
-    val feat = new Featurizer()
-    val wMulti  = Contrastive.trainMultiColumn(lake.tables, feat, trainCfg)
-    val wSingle = Contrastive.trainSingleColumn(lake.tables, feat,
-      trainCfg.copy(maxSteps = trainCfg.maxSteps / 2))
-    val sherlock = SherlockEncoder.train(lake, feat, profile.sherlockKnownFraction)
-    val sato     = new SatoEncoder(feat, sherlock)
-    LakeModels(feat, new StarmieEncoder(feat, wMulti),
-               new SingleColEncoder(feat, wSingle), sherlock, sato)
+  final class LakeModels(lake: Lake, profile: Profile, trainCfg: Contrastive.TrainConfig) {
+    private val feat = new Featurizer()
+    lazy val starmie = new StarmieEncoder(feat, Contrastive.trainMultiColumn(lake.tables, feat, trainCfg))
+    lazy val singleCol = new SingleColEncoder(feat, Contrastive.trainSingleColumn(lake.tables, feat,
+      trainCfg.copy(maxSteps = trainCfg.maxSteps / 2)))
+    lazy val sherlock = SherlockEncoder.train(lake, feat, profile.sherlockKnownFraction)
+    lazy val sato = new SatoEncoder(feat, sherlock)
+    /** the four embedding methods, in the row order of Tables 8 and 10 */
+    def encoders: Seq[ColumnEncoder] = Seq(starmie, sato, sherlock, singleCol)
   }
 
   /** Model inference over the whole lake (the offline stage of Figure 2),
@@ -128,50 +130,49 @@ object Experiments {
             Metrics.mean(ideals), Metrics.mean(times), Metrics.mean(vers))
   }
 
-  // ---- composite experiments ----------------------------------------------
-
-  /** Table 3 result for one benchmark: its lake and trained models (reused
-    * by Tables 4/5/8) and one row per method.
-    */
-  final case class Effectiveness(profile: Profile, lake: Lake, models: LakeModels,
-                                 rows: Seq[EvalRow])
-
-  /** Table 3: all six methods on one effectiveness benchmark. */
-  def effectiveness(profile: Profile,
-                    trainCfg: Contrastive.TrainConfig = Contrastive.TrainConfig()): Effectiveness = {
-    val lake   = LakeGen.generate(profile.cfg)
-    val models = trainModels(lake, profile, trainCfg)
-    val k      = profile.k
-    def embedded(enc: ColumnEncoder) = evalEmbedding(lake, embedLake(lake, enc), k, Pruning)
-    val rows = scala.collection.mutable.ArrayBuffer[EvalRow]()
-    rows += embedded(models.singleCol)
-    rows += embedded(models.sato)
-    rows += embedded(models.sherlock)
-    if (profile.santosAvailable) {
-      val kb     = SantosLike.build(lake, profile.santosKbCoverage)
-      val santos = new kb.Searcher(lake.tables)
-      rows += evalBaseline(lake, "santos", k, santos.query(_, k))
-    }
-    val d3l = new D3L.Searcher(lake.tables)
-    rows += evalBaseline(lake, "d3l", k, d3l.query(_, k))
-    rows += embedded(models.starmie)
-    Effectiveness(profile, lake, models, rows.toSeq)
-  }
-
-  /** Tables 5/8: the four design choices for a given embedding. */
+  /** The four design choices for a given embedding (Tables 5/8). */
   def designChoices(lake: Lake, emb: Embedded, k: Int): Seq[(Mode, EvalRow)] =
     Modes.map(mode => mode -> evalEmbedding(lake, emb, k, mode))
 
-  /** Table 4: MAP vs number of negative classes on micro-lakes. The encoder
-    * is re-trained *on each micro-lake* — that is the experiment's point:
-    * with few classes, two random tables are often unionable, so the
-    * contrastive "random negatives" assumption is violated during training.
+  // ---- drivers -------------------------------------------------------------
+
+  /** Table 3 on one effectiveness benchmark (`Benchmarks.effectiveness`):
+    * its lake, models and embedded lakes, which Tables 4, 5 and 8 reuse, and
+    * one row per method. Each part is built on first use, so a table that
+    * needs only the lake or the models computes no Table 3 row.
     */
-  def negativeClasses(base: Lake, feat: Featurizer,
-                      nNegClasses: Seq[Int] = 2 to 9,
-                      trainCfg: Contrastive.TrainConfig =
-                        Contrastive.TrainConfig(maxSteps = 500, epochs = 10))
-      : Seq[(Int, Double, Double)] = {
+  final class Effectiveness(val profile: Profile,
+                            trainCfg: Contrastive.TrainConfig = Contrastive.TrainConfig()) {
+    lazy val lake: Lake = LakeGen.generate(profile.cfg)
+    lazy val models = new LakeModels(lake, profile, trainCfg)
+    /** each embedding method's lake, in `models.encoders` order */
+    lazy val embeddings: Seq[Embedded] = models.encoders.map(embedLake(lake, _))
+    lazy val rows: Seq[EvalRow] = {
+      val k = profile.k
+      val byMethod = embeddings.map(e => e.method -> evalEmbedding(lake, e, k, Pruning)).toMap
+      val santos = Option.when(profile.santosAvailable) {
+        val kb = SantosLike.build(lake, profile.santosKbCoverage)
+        val searcher = new kb.Searcher(lake.tables)
+        evalBaseline(lake, "santos", k, searcher.query(_, k))
+      }
+      val d3l = new D3L.Searcher(lake.tables)
+      Seq("singlecol", "sato", "sherlock").map(byMethod) ++ santos ++
+        Seq(evalBaseline(lake, "d3l", k, d3l.query(_, k)), byMethod("starmie"))
+    }
+  }
+
+  /** Table 4: MAP@60 and MAP@120 vs the number of negative classes (2–9) on
+    * micro-lakes drawn from `base`, TUS Small's lake. The encoder is
+    * re-trained *on each micro-lake* — that is the experiment's point: with
+    * few classes, two random tables are often unionable, so the contrastive
+    * "random negatives" assumption is violated during training.
+    */
+  def negativeClasses(base: Lake): Seq[(Int, Double, Double)] =
+    negativeClassSweep(base, 2 to 9, Contrastive.TrainConfig(maxSteps = 500, epochs = 10))
+
+  private[exp] def negativeClassSweep(base: Lake, nNegClasses: Seq[Int],
+                                      trainCfg: Contrastive.TrainConfig): Seq[(Int, Double, Double)] = {
+    val feat = new Featurizer()
     nNegClasses.map { c =>
       val micro = LakeGen.microLake(base, c)
       val w     = Contrastive.trainMultiColumn(micro.tables, feat, trainCfg)
@@ -184,7 +185,20 @@ object Experiments {
 
   /** Table 6: memory usage of the design choices relative to lake size. */
   final case class MemoryRow(method: String, memBytes: Long, overheadPct: Double)
-  def memoryOverhead(lake: Lake, emb: Embedded): Seq[MemoryRow] = {
+
+  /** Table 6 on the row-heavy `Benchmarks.santosLargeMemory` corpus. The
+    * memory depends on the column count and the embedding size, not on the
+    * encoder weights, so the lake is embedded under an untrained projection.
+    */
+  def memoryOverhead(): (Lake, Seq[MemoryRow]) = {
+    val lake = LakeGen.generate(Benchmarks.santosLargeMemory)
+    val feat = new Featurizer()
+    val enc  = new StarmieEncoder(feat,
+      Linalg.randomMatrix(Contrastive.TrainConfig().embedDim, feat.cfg.contextDim, 3))
+    (lake, memoryRows(lake, embedLake(lake, enc)))
+  }
+
+  private[exp] def memoryRows(lake: Lake, emb: Embedded): Seq[MemoryRow] = {
     val lakeBytes = lake.sizeBytes.toDouble
     def row(method: String, bytes: Long) = MemoryRow(method, bytes, 100.0 * bytes / lakeBytes)
     val dim = emb.lake.head._2.head.length
@@ -192,11 +206,33 @@ object Experiments {
       Seq(Lsh, HnswIdx).map(m => row(m.name, Search.buildColumnIndex(emb.lake, m.mkIndex).memoryBytes))
   }
 
-  /** Fig 10: average query time of the four design choices as the lake
-    * grows. Returns (size, mode, avgMillis, avgVerifications).
+  /** Fig 10: one lake's average query time and verifications per design
+    * choice, by lake size.
     */
-  def scalability(lake: Lake, emb: Embedded, k: Int, sizes: Seq[Int],
-                  nQueries: Int = 10): Seq[(Int, Mode, Double, Double)] = {
+  final case class Fig10Row(size: Int, mode: Mode, queryMs: Double, verifications: Double)
+  final case class Sweep(lake: String, rows: Seq[Fig10Row])
+
+  /** Fig 10a on SANTOS Large (`santosLargeTables` tables, 10 queries) and
+    * Fig 10b/c on the WDC-style lake (`wdcTables` tables, 8 queries), each
+    * with a trained Starmie encoder.
+    */
+  def scalability(santosLargeTables: Int, wdcTables: Int): (Sweep, Sweep) = {
+    def run(profile: Profile, sizes: Int => Seq[Int], nQueries: Int): Sweep = {
+      val lake = LakeGen.generate(profile.cfg)
+      val enc  = new LakeModels(lake, profile, Contrastive.TrainConfig()).starmie
+      Sweep(lake.name, sweep(lake, embedLake(lake, enc), profile.k,
+                             sizes(lake.tables.size).distinct, nQueries))
+    }
+    (run(Benchmarks.santosLarge(santosLargeTables), n => Seq(1000, 3000, n), 10),
+     run(Benchmarks.wdc(wdcTables), n => Seq(n / 10, n / 3, n), 8))
+  }
+
+  /** The first `nQueries` queries of `lake` against its first `n` tables
+    * (plus the query tables), for each `n` in `sizes`, under each design
+    * choice.
+    */
+  private[exp] def sweep(lake: Lake, emb: Embedded, k: Int, sizes: Seq[Int],
+                         nQueries: Int): Seq[Fig10Row] = {
     val queries = lake.queries.take(nQueries)
     sizes.flatMap { n =>
       val subset    = emb.lake.take(n)
@@ -209,9 +245,8 @@ object Experiments {
         // one untimed pass, as in evalEmbedding
         queries.foreach(qid => query(emb.byId(qid), k))
         val results = queries.map(qid => query(emb.byId(qid), k))
-        val ms  = results.map(_.elapsedNanos.toDouble / 1e6)
-        val ver = results.map(_.verifications.toDouble)
-        (n, mode, Metrics.mean(ms), Metrics.mean(ver))
+        Fig10Row(n, mode, Metrics.mean(results.map(_.elapsedNanos.toDouble / 1e6)),
+                 Metrics.mean(results.map(_.verifications.toDouble)))
       }
     }
   }

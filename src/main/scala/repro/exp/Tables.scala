@@ -3,17 +3,15 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 import repro.cluster.ColumnClustering
 import repro.core._
-import repro.exp.Experiments.{Effectiveness, Embedded, MemoryRow, Mode}
-import repro.lake.LakeGen
-import repro.lake.Benchmarks.Profile
+import repro.exp.Experiments._
+import repro.lake.{Benchmarks, LakeGen}
 import repro.lake.LakeGen.Lake
 import repro.ml.DataDiscoveryML
 
-/** The paper tables whose code does work of its own (Tables 2, 5/8, 7 and
-  * 10), plus one renderer per paper table. The table functions
-  * return structured rows (asserted by the bench suites); the renderers are
-  * printed by bench suites and jobs/ mains alike, so bench output and jobs/
-  * output share a code path.
+/** The drivers of Tables 2, 5, 7, 8 and 10 (the rest are in `Experiments`,
+  * under the same one-driver rule), plus one renderer per paper table. The
+  * drivers return typed rows, which the bench suites assert on; the
+  * renderers are printed by bench suites and jobs/ mains alike.
   */
 object Tables {
 
@@ -22,8 +20,12 @@ object Tables {
   final case class T2Row(name: String, tables: Int, cols: Int, avgRows: Double,
                          sizeMb: Double)
 
-  def table2(profiles: Seq[Profile]): Seq[T2Row] =
-    profiles.map { p =>
+  /** Table 2 over the three effectiveness benchmarks and the two
+    * scalability corpora, at the given sizes.
+    */
+  def table2(santosLargeTables: Int, wdcTables: Int): Seq[T2Row] =
+    (Benchmarks.effectiveness :+ Benchmarks.santosLarge(santosLargeTables) :+
+        Benchmarks.wdc(wdcTables)).map { p =>
       val lake = LakeGen.generate(p.cfg)
       T2Row(lake.name, lake.tables.size, lake.totalColumns, lake.avgRows,
             lake.sizeBytes / 1e6)
@@ -59,13 +61,20 @@ object Tables {
   // ---- Tables 5 & 8: design choices × methods -------------------------------
 
   final case class T58Row(method: String, technique: Mode, map: Double,
-                          p: Double, r: Double, queryMs: Double)
+                          p: Double, r: Double, queryMs: Double, verifications: Double)
 
-  /** For each named embedding, run the four design choices. */
-  def table58(lake: Lake, embeddings: Seq[Embedded], k: Int): Seq[T58Row] =
+  /** Table 5: the four design choices for Starmie on `santosSmall`. */
+  def table5(santosSmall: Effectiveness): Seq[T58Row] =
+    table58(santosSmall, santosSmall.embeddings.take(1))
+
+  /** Table 8: the four design choices for every embedding method on `santosSmall`. */
+  def table8(santosSmall: Effectiveness): Seq[T58Row] =
+    table58(santosSmall, santosSmall.embeddings)
+
+  private def table58(res: Effectiveness, embeddings: Seq[Embedded]): Seq[T58Row] =
     embeddings.flatMap { emb =>
-      Experiments.designChoices(lake, emb, k).map { case (mode, row) =>
-        T58Row(emb.method, mode, row.map, row.p, row.r, row.avgQueryMillis)
+      designChoices(res.lake, emb, res.profile.k).map { case (mode, row) =>
+        T58Row(emb.method, mode, row.map, row.p, row.r, row.avgQueryMillis, row.avgVerifications)
       }
     }
 
@@ -78,8 +87,9 @@ object Tables {
 
   // ---- Table 6: memory overhead ---------------------------------------------
 
-  def renderT6(lakeMb: Double, rows: Seq[MemoryRow]): String =
-    (f"Data lake size: $lakeMb%.1f MB" ::
+  def renderT6(lake: Lake, rows: Seq[MemoryRow]): String =
+    (f"Corpus: ${lake.tables.size} tables, ${lake.totalColumns} columns, avg rows ${lake.avgRows}%.0f" ::
+     f"Data lake size: ${lake.sizeBytes / 1e6}%.1f MB" ::
      "| Method | Memory Usage (MB) | Space Overhead |" :: "|---|---|---|" ::
      rows.toList.map(r =>
        f"| ${r.method} | ${r.memBytes / 1e6}%.1f | ${r.overheadPct}%.2f%% |"))
@@ -132,17 +142,25 @@ object Tables {
   final case class T10Row(method: String, nClusters: Int, avgSize: Double,
                           purity: Double, theta: Double)
 
-  def table10(lake: Lake, encoders: Seq[ColumnEncoder],
-              targetClusters: Int): (Seq[T10Row], Map[String, ColumnClustering.Result]) = {
-    val results = encoders.map { enc =>
+  /** Table 10's rows on its corpus, plus Starmie's clusters for Table 9. */
+  final case class T10Result(lake: Lake, rows: Seq[T10Row], starmie: ColumnClustering.Result)
+
+  /** Tables 9/10 on `Benchmarks.clustering`, every method at one target
+    * cluster count.
+    */
+  def table10(): T10Result = {
+    val profile = Benchmarks.clustering
+    val lake    = LakeGen.generate(profile.cfg)
+    // θ is matched so every method lands near the same cluster count — the
+    // paper's fairness control ("similar numbers of clusters", ≈2.3k for
+    // 119k columns); we use the same 1:5 column:cluster granularity
+    val target  = math.max(lake.colContextualType.values.toSet.size, lake.totalColumns / 5)
+    val results = new LakeModels(lake, profile, Contrastive.TrainConfig()).encoders.map { enc =>
       val (graph, labels) = ColumnClustering.buildGraph(lake, enc)
-      enc.name -> ColumnClustering.evaluateAtTargetCount(graph, labels, targetClusters)
-    }.toMap
-    val rows = encoders.map { enc =>
-      val r = results(enc.name)
-      T10Row(enc.name, r.nClusters, r.avgSize, r.purity, r.theta)
+      enc.name -> ColumnClustering.evaluateAtTargetCount(graph, labels, target)
     }
-    (rows, results)
+    T10Result(lake, results.map { case (method, r) =>
+      T10Row(method, r.nClusters, r.avgSize, r.purity, r.theta) }, results.head._2)
   }
 
   def renderT10(rows: Seq[T10Row]): String =
@@ -166,16 +184,11 @@ object Tables {
 
   // ---- Fig 10: scalability ---------------------------------------------------
 
-  def renderFig10(rows: Seq[(Int, Mode, Double, Double)]): String =
-    ("| Lake size (tables) | Technique | Avg query (ms) | Avg verifications |" ::
+  def renderFig10(sweep: Sweep): String =
+    (s"Lake: ${sweep.lake}" ::
+     "| Lake size (tables) | Technique | Avg query (ms) | Avg verifications |" ::
      "|---|---|---|---|" ::
-     rows.toList.map { case (n, mode, ms, v) => f"| $n | ${mode.name} | $ms%.2f | $v%.0f |" })
+     sweep.rows.toList.map(r =>
+       f"| ${r.size} | ${r.mode.name} | ${r.queryMs}%.2f | ${r.verifications}%.0f |"))
       .mkString("\n")
-
-  // ---- shared helpers --------------------------------------------------------
-
-  /** All four embedding methods for a lake, as Embedded lakes. */
-  def allEmbeddings(lake: Lake, models: Experiments.LakeModels): Seq[Embedded] =
-    Seq(models.starmie, models.sato, models.sherlock, models.singleCol)
-      .map(enc => Experiments.embedLake(lake, enc))
 }

@@ -49,8 +49,14 @@ object Benchmarks {
     k = 60, sherlockKnownFraction = 0.6, santosKbCoverage = 0.7,
     santosAvailable = false) // paper: no annotated intent columns on TUS Large
 
+  /** Default sizes of the two scalability corpora (Table 2, Fig 10): SANTOS
+    * Large as in the paper, the WDC-style lake at a local scale.
+    */
+  val SantosLargeTables = 11090
+  val WdcMaxTables = 30000
+
   /** SANTOS Large: ~11k raw tables for scalability (no effectiveness GT). */
-  def santosLarge(nTables: Int = 11090): Profile = {
+  def santosLarge(nTables: Int): Profile = {
     val derived = math.max(1, nTables / 300)
     Profile(
       LakeConfig(name = "santosLarge", nTemplates = 300, derivedPerTemplate = derived,
@@ -60,6 +66,16 @@ object Benchmarks {
       k = 10, sherlockKnownFraction = 0.7, santosKbCoverage = 0.8,
       santosAvailable = true)
   }
+
+  /** Table 6's SANTOS-Large-style corpus: the paper's lake has 7,675 rows per
+    * table on average, and the space overhead of the embeddings is relative
+    * to the lake size, so this corpus is row-heavy (600 rows per table).
+    */
+  val santosLargeMemory: LakeConfig = LakeConfig(name = "santosLargeMem", nTemplates = 100,
+    derivedPerTemplate = 20, arityMin = 4, arityMax = 8,
+    sharedTypesPerTemplate = 2, nSharedSurfaces = 16,
+    rowsPerDerived = 600, poolSize = 200, colKeepFraction = 0.8,
+    nQueries = 0, noise = 0.05, seed = 109)
 
   /** WDC-style lake of tiny web tables (paper: 50M tables, 14 rows avg;
     * we sweep `nTables` up to 1e5 locally).

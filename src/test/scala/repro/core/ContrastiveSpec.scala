@@ -123,14 +123,15 @@ class ContrastiveSpec extends AnyFunSuite {
           batch.foreach { t =>
             val view    = op(t, rnd)
             val oriBase = xs.size
-            xs ++= feat.tableInputs(t).map(referenceDropout(_, cfg.dropout, rnd))
+            xs ++= feat.tableInputs(t).map(referenceDropout(_, Contrastive.Dropout, rnd))
             val augBase = xs.size
-            xs ++= feat.tableInputs(view.table).map(referenceDropout(_, cfg.dropout, rnd))
+            xs ++= feat.tableInputs(view.table).map(referenceDropout(_, Contrastive.Dropout, rnd))
             view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
               pos += ((oriBase + origIdx, augBase + augIdx))
             }
           }
-          referenceStep(w, xs.toIndexedSeq, pos.toSeq, cfg.temperature, cfg.lr, cfg.anchorWeight, w0)
+          referenceStep(w, xs.toIndexedSeq, pos.toSeq, Contrastive.Temperature,
+                        Contrastive.LearningRate, Contrastive.AnchorWeight, w0)
           steps += 1
         }
       }
@@ -153,13 +154,13 @@ class ContrastiveSpec extends AnyFunSuite {
         if (steps < cfg.maxSteps) {
           val n  = batch.size
           val xs = scala.collection.mutable.ArrayBuffer[Array[Float]]()
-          batch.foreach(c => xs += referenceDropout(feat.columnFeatures(c), cfg.dropout, rnd))
+          batch.foreach(c => xs += referenceDropout(feat.columnFeatures(c), Contrastive.Dropout, rnd))
           batch.foreach { c =>
             val aug = ColumnData(c.name, rnd.shuffle(c.values).take(math.max(1, c.values.size / 2)))
-            xs += referenceDropout(feat.columnFeatures(aug), cfg.dropout, rnd)
+            xs += referenceDropout(feat.columnFeatures(aug), Contrastive.Dropout, rnd)
           }
           referenceStep(w, xs.toIndexedSeq, (0 until n).map(i => (i, i + n)),
-                        cfg.temperature, cfg.lr, cfg.anchorWeight, w0)
+                        Contrastive.Temperature, Contrastive.LearningRate, Contrastive.AnchorWeight, w0)
           steps += 1
         }
       }

@@ -71,8 +71,15 @@ class SearchSpec extends AnyFunSuite {
   }
 
   test("k larger than lake returns the whole lake") {
-    val res = searcher.queryLinear(byId("g0t0"), 1000)
+    val q = byId("g0t0")
+    val res = searcher.queryLinear(q, 1000)
     assert(res.ranked.size == lake.size)
+    assert(searcher.queryPruning(q, 1000).ranked == res.ranked)
+    // an index mode returns every candidate table
+    val index = Search.buildColumnIndex(lake, d => new LinearIndex(d))
+    val viaIndex = searcher.queryWithIndex(q, 1000, index, probe = lake.size * 4)
+    assert(viaIndex.ranked.size == viaIndex.candidates)
+    assert(viaIndex.ranked == res.ranked.filter(_._2 > 0))
   }
 
   test("HNSW-backed search finds the same group with high recall") {
@@ -123,6 +130,23 @@ class SearchSpec extends AnyFunSuite {
                                          () => searcher.queryWithIndex(q, k, index))) {
       val e = intercept[IllegalArgumentException](run())
       assert(e.getMessage.contains("k must be positive"))
+    }
+  }
+
+  test("lake and query columns of another dimension are rejected by every query mode") {
+    val odd = lake.take(3) :+ ("odd" -> IndexedSeq(Linalg.normalize(Array.fill(15)(1.0f))))
+    val e = intercept[IllegalArgumentException](new UnionSearcher(odd, tau = 0.5))
+    assert(e.getMessage.contains("share one dimension"))
+    // a shorter query column would give a truncated dot, a longer one an
+    // out-of-bounds read
+    val index = Search.buildColumnIndex(lake, d => new LinearIndex(d))
+    for (d <- Seq(15, 17);
+         q = IndexedSeq.fill(2)(Linalg.normalize(Array.fill(d)(1.0f)));
+         run <- Seq[() => Search.Result](() => searcher.queryLinear(q, 5),
+                                         () => searcher.queryPruning(q, 5),
+                                         () => searcher.queryWithIndex(q, 5, index))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("the lake's dimension 16"))
     }
   }
 
@@ -218,7 +242,7 @@ class SearchSpec extends AnyFunSuite {
 
   // ---- exactness properties over random small lakes -------------------------
 
-  /** 1–8 tables of 0–4 columns each, k ∈ [1, n+3], τ ∈ [0, 0.95]. Columns are
+  /** 0–8 tables of 0–4 columns each, k ∈ [1, n+3], τ ∈ [0, 0.95]. Columns are
     * drawn around a pool of four directions; with noise 0 they repeat exactly,
     * so tied scores occur as well as edges on either side of τ. Ids are
     * shuffled, so that lake order does not decide ties.
@@ -232,7 +256,7 @@ class SearchSpec extends AnyFunSuite {
       col     = for (c <- Gen.oneOf(pool); e <- coords)
                   yield Linalg.normalize(c.zip(e).map { case (a, b) => (a + noise * b).toFloat }.toArray)
       cols    = Gen.choose(0, 4).flatMap(Gen.listOfN(_, col)).map(_.toIndexedSeq)
-      n      <- Gen.choose(1, 8)
+      n      <- Gen.choose(0, 8)
       tables <- Gen.listOfN(n, cols)
       ids    <- Gen.long.map(seed => new Random(seed).shuffle((0 until n).map(i => s"t$i")))
       query  <- cols
@@ -245,9 +269,16 @@ class SearchSpec extends AnyFunSuite {
     SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500), prop).passed
 
   test("Pruning returns exactly Linear's ranked list (property)") {
+    // with empty lakes, tables and queries without columns, and k beyond the lake
     assert(holds(Prop.forAllNoShrink(genCase) { c =>
-      val s = new UnionSearcher(c.lake, c.tau)
-      s.queryPruning(c.query, c.k).ranked == s.queryLinear(c.query, c.k).ranked
+      val s   = new UnionSearcher(c.lake, c.tau)
+      val prn = s.queryPruning(c.query, c.k)
+      val lin = s.queryLinear(c.query, c.k)
+      val noEdges = c.lake.collect { case (id, cols) if cols.isEmpty || c.query.isEmpty => id }.toSet
+      scoreBits(prn.ranked) == scoreBits(lin.ranked) &&
+        prn.ranked.size == math.min(c.k, c.lake.size) &&
+        prn.ranked.forall { case (id, u) => !noEdges(id) || u == 0.0 } &&
+        (c.lake.nonEmpty || prn.verifications + lin.verifications == 0)
     }))
   }
 

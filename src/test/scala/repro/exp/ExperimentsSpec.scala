@@ -20,7 +20,7 @@ class ExperimentsSpec extends AnyFunSuite {
   private val quickTrain = Contrastive.TrainConfig(
     embedDim = 32, batchTables = 6, epochs = 8, maxSteps = 80)
 
-  private lazy val full = Experiments.effectiveness(tiny, quickTrain)
+  private lazy val full = new Experiments.Effectiveness(tiny, quickTrain)
 
   test("effectiveness produces a row per method") {
     assert(full.rows.map(_.method).toSet ==
@@ -45,7 +45,7 @@ class ExperimentsSpec extends AnyFunSuite {
 
   test("santosAvailable=false drops the santos row") {
     val noSantos = tiny.copy(santosAvailable = false)
-    val rows = Experiments.effectiveness(noSantos, quickTrain).rows
+    val rows = new Experiments.Effectiveness(noSantos, quickTrain).rows
     assert(!rows.exists(_.method == "santos"))
   }
 
@@ -67,7 +67,7 @@ class ExperimentsSpec extends AnyFunSuite {
   }
 
   test("negativeClasses sweeps the configured class counts") {
-    val sweep = Experiments.negativeClasses(full.lake, full.models.feat, Seq(2, 4, 6),
+    val sweep = Experiments.negativeClassSweep(full.lake, Seq(2, 4, 6),
       quickTrain.copy(maxSteps = 30, epochs = 4))
     assert(sweep.map(_._1) == Seq(2, 4, 6))
     sweep.foreach { case (_, m60, m120) =>
@@ -77,7 +77,7 @@ class ExperimentsSpec extends AnyFunSuite {
 
   test("memoryOverhead reports all three design choices") {
     val emb = Experiments.embedLake(full.lake, full.models.starmie)
-    val rows = Experiments.memoryOverhead(full.lake, emb)
+    val rows = Experiments.memoryRows(full.lake, emb)
     assert(rows.map(_.method) == Seq("No Index", Lsh.name, HnswIdx.name))
     rows.foreach(r => assert(r.memBytes > 0 && r.overheadPct > 0))
     // index variants hold the vectors too, so they cost at least as much
@@ -87,9 +87,9 @@ class ExperimentsSpec extends AnyFunSuite {
 
   test("scalability reports the four modes per size") {
     val emb = Experiments.embedLake(full.lake, full.models.starmie)
-    val rows = Experiments.scalability(full.lake, emb, k = 5, sizes = Seq(16, 64), nQueries = 3)
+    val rows = Experiments.sweep(full.lake, emb, k = 5, sizes = Seq(16, 64), nQueries = 3)
     assert(rows.size == 8)
-    assert(rows.map(_._2).distinct == Experiments.Modes)
-    rows.foreach { case (_, _, ms, _) => assert(ms >= 0) }
+    assert(rows.map(_.mode).distinct == Experiments.Modes)
+    rows.foreach(r => assert(r.queryMs >= 0))
   }
 }
