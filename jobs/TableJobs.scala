@@ -11,15 +11,6 @@ import repro.lake.Benchmarks
   *
   *   spark-submit --class repro.jobs.Table3Effectiveness repro.jar
   */
-object JobUtil {
-  def session(name: String): SparkSession =
-    SparkSession.builder
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
-      .getOrCreate()
-}
-
 object Table2Stats {
   def main(args: Array[String]): Unit =
     println(Tables.renderT2(Tables.table2(Benchmarks.SantosLargeTables, Benchmarks.WdcMaxTables)))
@@ -49,7 +40,8 @@ object Table6Memory {
 
 object Table7MlDiscovery {
   def main(args: Array[String]): Unit = {
-    val spark = JobUtil.session("table7")
+    val spark = SparkSession.builder
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName("table7").getOrCreate()
     try {
       val res = Tables.table7(spark)
       println(Tables.renderT7(res))

@@ -163,15 +163,29 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
   private def newHeap = mutable.PriorityQueue[(String, Double)]()(
     Ordering.by(e => (-e._2, e._1)))
 
-  private def checkQuery(qEmb: IndexedSeq[Array[Float]], k: Int): Unit = {
-    require(k > 0, s"k must be positive, got $k")
+  private def checkDim(qEmb: IndexedSeq[Array[Float]]): Unit =
     require(dim < 0 || qEmb.forall(_.length == dim),
       s"query columns must have the lake's dimension $dim; found ${qEmb.map(_.length).distinct.mkString(", ")}")
+
+  private def checkQuery(qEmb: IndexedSeq[Array[Float]], k: Int): Unit = {
+    require(k > 0, s"k must be positive, got $k")
+    checkDim(qEmb)
   }
 
-  /** Exact verification U(S,T) — the expensive bipartite-matching call. */
-  def verify(qEmb: IndexedSeq[Array[Float]], tableId: String): Double =
-    Matching.tableUnionability(qEmb, lake(indexOf(tableId))._2, tau)
+  /** Exact verification U(S,T) — the expensive bipartite-matching call. The
+    * query columns must have the lake's dimension and `tableId` must be a
+    * lake table.
+    */
+  def verify(qEmb: IndexedSeq[Array[Float]], tableId: String): Double = {
+    checkDim(qEmb)
+    val t = indexOf.getOrElse(tableId, -1)
+    require(t >= 0, s"table '$tableId' is not in the lake")
+    verifyAt(qEmb, t)
+  }
+
+  /** U(S,T) of lake table t, unchecked: the queries check their input once */
+  private def verifyAt(qEmb: IndexedSeq[Array[Float]], t: Int): Double =
+    Matching.tableUnionability(qEmb, lake(t)._2, tau)
 
   /** Linear scan: verify every table, keep a k-min-heap. */
   def queryLinear(qEmb: IndexedSeq[Array[Float]], k: Int): Result = {
@@ -179,8 +193,8 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     val t0 = System.nanoTime()
     val heap = newHeap
     var verifications = 0L
-    lake.foreach { case (tid, _) =>
-      val u = verify(qEmb, tid)
+    lake.iterator.zipWithIndex.foreach { case ((tid, _), t) =>
+      val u = verifyAt(qEmb, t)
       verifications += 1
       if (heap.size < k) heap.enqueue((tid, u))
       else if (beats((tid, u), heap.head)) { heap.dequeue(); heap.enqueue((tid, u)) }
@@ -259,7 +273,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
         val ub  = ubs(cand)
         if (heap.size < k) {
           // heap must fill to k regardless of bounds (UB=0 ⇒ exact=0: free)
-          val u = if (ub == 0.0) 0.0 else { verifications += 1; verify(qEmb, tid) }
+          val u = if (ub == 0.0) 0.0 else { verifications += 1; verifyAt(qEmb, tables(cand)) }
           heap.enqueue((tid, u))
         } else if (ub == 0.0) {
           // no τ-surviving edge ⇒ U(S,T)=0 without verification
@@ -269,7 +283,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
         } else if (ub < lbFloor) {
           () // ≥ k tables are guaranteed to score ≥ lbFloor > UB ≥ U(S,T): skip
         } else {
-          val u = verify(qEmb, tid); verifications += 1
+          val u = verifyAt(qEmb, tables(cand)); verifications += 1
           if (beats((tid, u), heap.head)) { heap.dequeue(); heap.enqueue((tid, u)) }
         }
       }

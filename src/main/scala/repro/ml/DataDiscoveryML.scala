@@ -1,9 +1,9 @@
 package repro.ml
 
-import org.apache.spark.ml.feature.VectorAssembler
+import org.apache.spark.ml.feature.LabeledPoint
+import org.apache.spark.ml.linalg.Vectors
 import org.apache.spark.ml.regression.GBTRegressor
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.baselines.D3L
 import repro.core._
 import scala.util.Random
@@ -36,7 +36,7 @@ object DataDiscoveryML {
     (math.abs(h) % 10000) / 10000.0
   }
 
-  def generate(nTasks: Int = 25, rows: Int = 200, seed: Long = 31): MlLake = {
+  def generate(nTasks: Int, rows: Int, seed: Long = 31): MlLake = {
     val rnd   = new Random(seed)
     val lake  = scala.collection.mutable.ArrayBuffer[TableData]()
     val tasks = scala.collection.mutable.ArrayBuffer[Task]()
@@ -196,14 +196,14 @@ object DataDiscoveryML {
         task.query.copy(columns = task.query.columns ++ extraCols)
     }
 
-  /** Featurize a table for regression: numeric columns become doubles,
-    * textual columns become (hash-bucket, length) pairs — a fixed text
-    * featurizer standing in for Sentence Transformers (DESIGN.md §2).
+  /** Featurize a table for regression, one labelled point per row in row
+    * order: numeric columns become doubles, textual columns become
+    * (hash-bucket, length) pairs — a fixed text featurizer standing in for
+    * Sentence Transformers (DESIGN.md §2).
     */
-  def featurize(spark: SparkSession, t: TableData, targetCol: Int): DataFrame = {
-    import spark.implicits._
+  def featurize(t: TableData, targetCol: Int): IndexedSeq[LabeledPoint] = {
     val featCols = t.columns.indices.filter(_ != targetCol)
-    val rows = (0 until t.numRows).map { r =>
+    (0 until t.numRows).map { r =>
       val feats = featCols.flatMap { ci =>
         val v = t.columns(ci).values.lift(r).getOrElse("")
         if (t.columns(ci).isNumeric)
@@ -213,37 +213,23 @@ object DataDiscoveryML {
       }
       val label = t.columns(targetCol).values.lift(r)
         .filter(Tokenizer.isNumeric).map(_.toDouble).getOrElse(0.0)
-      (r, feats, label)
+      LabeledPoint(label, Vectors.dense(feats.toArray))
     }
-    rows.toDF("row_id", "feats", "label")
-      .select(col("row_id"), col("label"),
-              posexplode(col("feats")).as(Seq("pos", "value")))
-      .groupBy("row_id", "label")
-      .pivot("pos")
-      .agg(first("value"))
   }
 
   private val GbtSeed = 5L
 
-  /** Train a GBT regressor on a 4:1 split and return the test MSE. */
+  /** Train a GBT regressor on a 4:1 split (every 5th row tests) and return
+    * the test MSE. MLlib gets one partition in row order, so that the fit is
+    * the same on every host and session (DESIGN.md §5).
+    */
   def mse(spark: SparkSession, t: TableData, targetCol: Int): Double = {
-    val df   = featurize(spark, t, targetCol).cache()
-    val cols = df.columns.filter(c => c != "row_id" && c != "label")
-    val assembled = new VectorAssembler()
-      .setInputCols(cols).setOutputCol("features").setHandleInvalid("keep")
-      .transform(df)
-    val train = assembled.filter(pmod(col("row_id"), lit(5)) =!= 0)
-    val test  = assembled.filter(pmod(col("row_id"), lit(5)) === 0)
+    val points = featurize(t, targetCol)
+    val (test, train) = points.indices.partition(_ % 5 == 0)
     val model = new GBTRegressor()
       .setMaxIter(12).setMaxDepth(4).setSeed(GbtSeed)
-      .setLabelCol("label").setFeaturesCol("features")
-      .fit(train)
-    val preds = model.transform(test)
-      .select(pow(col("prediction") - col("label"), 2).as("se"))
-      .agg(avg(col("se")))
-      .head().getDouble(0)
-    df.unpersist()
-    preds
+      .fit(spark.createDataFrame(spark.sparkContext.parallelize(train.map(points), 1)))
+    test.map(r => math.pow(model.predict(points(r).features) - points(r).label, 2)).sum / test.size
   }
 
   // ---- end-to-end ----------------------------------------------------------

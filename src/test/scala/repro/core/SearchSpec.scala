@@ -142,12 +142,16 @@ class SearchSpec extends AnyFunSuite {
     val index = Search.buildColumnIndex(lake, d => new LinearIndex(d))
     for (d <- Seq(15, 17);
          q = IndexedSeq.fill(2)(Linalg.normalize(Array.fill(d)(1.0f)));
-         run <- Seq[() => Search.Result](() => searcher.queryLinear(q, 5),
-                                         () => searcher.queryPruning(q, 5),
-                                         () => searcher.queryWithIndex(q, 5, index))) {
+         run <- Seq[() => Any](() => searcher.queryLinear(q, 5),
+                               () => searcher.queryPruning(q, 5),
+                               () => searcher.queryWithIndex(q, 5, index),
+                               () => searcher.verify(q, lake.head._1))) {
       val e = intercept[IllegalArgumentException](run())
       assert(e.getMessage.contains("the lake's dimension 16"))
     }
+    // verify also names a table id that is not in the lake
+    val e2 = intercept[IllegalArgumentException](searcher.verify(byId("g0t0"), "nope"))
+    assert(e2.getMessage.contains("'nope' is not in the lake"))
   }
 
   test("duplicate table ids are rejected") {

@@ -101,9 +101,27 @@ class DataDiscoverySpec extends SparkSpec {
 
   test("featurize emits one row per table row with a label column") {
     val task = ml.tasks.head
-    val df = DataDiscoveryML.featurize(spark, task.query, task.targetCol)
-    assert(df.count() == task.query.numRows)
-    assert(df.columns.contains("label"))
+    val points = DataDiscoveryML.featurize(task.query, task.targetCol)
+    assert(points.size == task.query.numRows)
+    assert(points.map(_.label) == task.query.columns(task.targetCol).values.map(_.toDouble))
+    // one feature per numeric column, a (hash bucket, length) pair per text column
+    val featCols = task.query.columns.indices.filter(_ != task.targetCol).map(task.query.columns)
+    val width = featCols.map(c => if (c.isNumeric) 1 else 2).sum
+    assert(points.forall(_.features.size == width))
+  }
+
+  test("mse returns the same bits at 64 and 200 shuffle partitions") {
+    val task = ml.tasks(1)
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    try {
+      val bits = Seq("64", "200").map { n =>
+        spark.conf.set(key, n)
+        java.lang.Double.doubleToLongBits(DataDiscoveryML.mse(spark, task.query, task.targetCol))
+      }
+      assert(bits.distinct.size == 1,
+        s"MSE ${bits.map(java.lang.Double.longBitsToDouble)} at 64 and 200 partitions")
+    } finally spark.conf.set(key, before)
   }
 
   test("GBT on the augmented table beats NoJoin on a signal-rich task") {
