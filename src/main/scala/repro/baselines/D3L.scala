@@ -96,8 +96,7 @@ object D3L {
     /** the matching score of table `tid` against the query's column signatures */
     private def score(qs: IndexedSeq[ColSig], tid: String): Double = {
       val ts = sigs(tid)
-      val w  = Array.tabulate(qs.size, ts.size)((i, j) => columnScore(qs(i), ts(j)))
-      Matching.maxWeightMatching(Matching.thresholded(w, Tau))._1
+      Matching.unionability(Array.tabulate(qs.size, ts.size)((i, j) => columnScore(qs(i), ts(j))), Tau)
     }
 
     // every column the LSH returns nominates its table, whatever its cosine

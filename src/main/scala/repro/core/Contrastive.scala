@@ -20,7 +20,6 @@ object Contrastive {
       batchTables: Int = 8,
       epochs: Int      = 12,
       maxSteps: Int    = 1200,
-      op: String       = "drop_col", // paper ablation: best on SANTOS Small
       seed: Long       = 42,
   )
 
@@ -160,37 +159,31 @@ object Contrastive {
   }
 
   /** Multi-column training (paper §3.3): batches are whole tables; the
-    * augmentation operator produces an aligned view; positives are the
+    * augmentation operator is `drop_col` (the paper's ablation found it best
+    * on SANTOS Small), which produces an aligned view; positives are the
     * aligned column pairs; every other pair in the batch — unaligned columns
     * of the same table and all columns of other tables — is a negative.
     * Returns the trained weight matrix (embedDim × contextDim).
     */
   def trainMultiColumn(tables: Seq[TableData], feat: Featurizer,
-                       cfg: TrainConfig = TrainConfig()): Array[Array[Float]] = {
-    val op = Augment.byName(cfg.op)
+                       cfg: TrainConfig = TrainConfig()): Array[Array[Float]] =
     train(tables.toIndexedSeq, cfg.batchTables, feat.cfg.contextDim, cfg) { (batch, rnd) =>
       val xs  = scala.collection.mutable.ArrayBuffer[Linalg.SparseVec]()
       val pos = scala.collection.mutable.ArrayBuffer[(Int, Int)]()
       batch.foreach { t =>
-        val view    = op(t, rnd)
+        val view    = Augment.dropCol(t, rnd)
         val own     = t.columns.map(feat.columnFeatures)
-        // a view column that is the original's column object has its features
-        val viewOwn = view.table.columns.indices.map { a =>
-          val c = view.table.columns(a)
-          val o = view.alignment(a)
-          if (c eq t.columns(o)) own(o) else feat.columnFeatures(c)
-        }
         val oriBase = xs.size
         xs ++= feat.contextualInputs(own).map(dropout(_, rnd))
         val augBase = xs.size
-        xs ++= feat.contextualInputs(viewOwn).map(dropout(_, rnd))
+        // the view's columns are the original's column objects: reuse their features
+        xs ++= feat.contextualInputs(view.alignment.map(own)).map(dropout(_, rnd))
         view.alignment.zipWithIndex.foreach { case (origIdx, augIdx) =>
           pos += ((oriBase + origIdx, augBase + augIdx))
         }
       }
       (xs.toIndexedSeq, pos.toSeq)
     }
-  }
 
   /** Single-column training (paper §3.2): batches are individual columns;
     * the augmentation operator is uniform value sampling; every other column

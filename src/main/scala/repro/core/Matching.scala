@@ -20,39 +20,26 @@ object Matching {
     m
   }
 
-  /** τ-thresholded edge weights: entries below τ become 0 (no edge). */
-  def thresholded(sim: Array[Array[Double]], tau: Double): Array[Array[Double]] =
-    sim.map(_.map(w => if (w >= tau) w else 0.0))
-
-  /** Maximum-weight bipartite matching of a non-negative weight matrix.
-    * Returns (total weight, matched pairs with weight > 0).
+  /** U over a similarity matrix: the maximum-weight bipartite matching of
+    * its edges of weight ≥ τ. The Hungarian method runs on the negated,
+    * τ-thresholded weights, transposed if needed so that rows ≤ cols.
     */
-  def maxWeightMatching(weights: Array[Array[Double]]): (Double, Seq[(Int, Int)]) = {
+  def unionability(weights: Array[Array[Double]], tau: Double): Double = {
     val rows = weights.length
-    if (rows == 0 || weights(0).length == 0) return (0.0, Seq.empty)
+    if (rows == 0 || weights(0).length == 0) return 0.0
     val cols = weights(0).length
-    // Hungarian solves min-cost with n ≤ m rows; transpose if needed and
-    // negate weights (all ≥ 0, so costs ≤ 0 — fine for the potentials form).
-    val transposed = rows > cols
-    val a = if (transposed) {
-      Array.tabulate(cols, rows)((i, j) => -weights(j)(i))
-    } else {
-      Array.tabulate(rows, cols)((i, j) => -weights(i)(j))
-    }
+    def cost(i: Int, j: Int): Double = { val w = weights(i)(j); -(if (w >= tau) w else 0.0) }
+    val a =
+      if (rows > cols) Array.tabulate(cols, rows)((i, j) => cost(j, i))
+      else Array.tabulate(rows, cols)(cost)
     val assign = hungarianMin(a)
-    val pairs = assign.zipWithIndex.collect {
-      case (j, i) if j >= 0 =>
-        val (si, tj) = if (transposed) (j, i) else (i, j)
-        (si, tj)
-    }.filter { case (si, tj) => weights(si)(tj) > 0.0 }
-    val total = pairs.iterator.map { case (si, tj) => weights(si)(tj) }.sum
-    (total, pairs.toSeq)
+    a.indices.iterator.map(i => -a(i)(assign(i))).filter(_ > 0.0).sum
   }
 
   /** U(S,T): the table unionability score for two embedded tables. */
   def tableUnionability(s: IndexedSeq[Array[Float]], t: IndexedSeq[Array[Float]],
                         tau: Double): Double =
-    maxWeightMatching(thresholded(simMatrix(s, t), tau))._1
+    unionability(simMatrix(s, t), tau)
 
   /** Classic Hungarian algorithm (potentials form) for an n×m cost matrix
     * with n ≤ m, minimizing total cost of a perfect row assignment.

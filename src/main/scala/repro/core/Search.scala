@@ -129,7 +129,9 @@ object Search {
 /** Top-k searcher over a fixed embedded lake. `tau` is the column-similarity
   * lower bound of §4.1 (edge threshold in the bipartite graph). Table ids
   * must be distinct and the lake's columns must share one dimension; every
-  * query asks for `k > 0` tables, with columns of that dimension.
+  * query asks for `k > 0` tables, with columns of that dimension. Lake and
+  * query columns are unit-norm or all-zero ([[VectorIndex.requireUnitOrZero]]),
+  * so that a dot product is their cosine.
   *
   * The searcher holds every lake column by reference in one array, table by
   * table, with `Int` offsets and one id → table-index map. Queries keep all
@@ -151,6 +153,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
   private val dim = if (cols.isEmpty) -1 else cols(0).length
   require(cols.forall(_.length == dim),
     s"lake columns must share one dimension; found ${cols.map(_.length).distinct.mkString(", ")}")
+  cols.foreach(VectorIndex.requireUnitOrZero(_, "lake column"))
   private val offsets: Array[Int] = lake.iterator.map(_._2.size).scanLeft(0)(_ + _).toArray
   private val maxCols = if (lake.isEmpty) 0 else lake.iterator.map(_._2.size).max
 
@@ -163,27 +166,34 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
   private def newHeap = mutable.PriorityQueue[(String, Double)]()(
     Ordering.by(e => (-e._2, e._1)))
 
-  private def checkDim(qEmb: IndexedSeq[Array[Float]]): Unit =
+  /** adds `e` to a heap of fewer than k entries, else in place of the head when `e` beats it */
+  private def offer(heap: mutable.PriorityQueue[(String, Double)], k: Int, e: (String, Double)): Unit =
+    if (heap.size < k) heap.enqueue(e)
+    else if (beats(e, heap.head)) { heap.dequeue(); heap.enqueue(e) }
+
+  private def checkColumns(qEmb: IndexedSeq[Array[Float]]): Unit = {
     require(dim < 0 || qEmb.forall(_.length == dim),
       s"query columns must have the lake's dimension $dim; found ${qEmb.map(_.length).distinct.mkString(", ")}")
+    qEmb.foreach(VectorIndex.requireUnitOrZero(_, "query column"))
+  }
 
   private def checkQuery(qEmb: IndexedSeq[Array[Float]], k: Int): Unit = {
     require(k > 0, s"k must be positive, got $k")
-    checkDim(qEmb)
+    checkColumns(qEmb)
   }
 
   /** Exact verification U(S,T) — the expensive bipartite-matching call. The
-    * query columns must have the lake's dimension and `tableId` must be a
-    * lake table.
+    * query columns must have the lake's dimension and be unit-norm or
+    * all-zero, and `tableId` must be a lake table.
     */
   def verify(qEmb: IndexedSeq[Array[Float]], tableId: String): Double = {
-    checkDim(qEmb)
+    checkColumns(qEmb)
     val t = indexOf.getOrElse(tableId, -1)
     require(t >= 0, s"table '$tableId' is not in the lake")
     verifyAt(qEmb, t)
   }
 
-  /** U(S,T) of lake table t, unchecked: the queries check their input once */
+  /** U(S,T) of lake table t from the embeddings, unchecked: Linear's and `verify`'s reference */
   private def verifyAt(qEmb: IndexedSeq[Array[Float]], t: Int): Double =
     Matching.tableUnionability(qEmb, lake(t)._2, tau)
 
@@ -192,15 +202,8 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     checkQuery(qEmb, k)
     val t0 = System.nanoTime()
     val heap = newHeap
-    var verifications = 0L
-    lake.iterator.zipWithIndex.foreach { case ((tid, _), t) =>
-      val u = verifyAt(qEmb, t)
-      verifications += 1
-      if (heap.size < k) heap.enqueue((tid, u))
-      else if (beats((tid, u), heap.head)) { heap.dequeue(); heap.enqueue((tid, u)) }
-    }
-    Result(heap.dequeueAll.reverse.toIndexedSeq, verifications, lake.size,
-           System.nanoTime() - t0)
+    lake.indices.foreach(t => offer(heap, k, (lake(t)._1, verifyAt(qEmb, t))))
+    Result(heap.dequeueAll.reverse.toIndexedSeq, lake.size, lake.size, System.nanoTime() - t0)
   }
 
   /** lake indexes of the candidate tables, in candidate order */
@@ -227,6 +230,8 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     * The filter computes every query-column × candidate-column similarity in
     * one `Linalg.dotBlock` pass, with the candidates' columns side by side,
     * then both bounds of each table from one sort of its τ-surviving edges.
+    * A verified table is scored from its m × n slice of those similarities,
+    * widened to `Double`: the bits `Matching.simMatrix` would recompute.
     * From [[Search.MinSplitWork]] similarities on, the filter runs as one
     * fork/join task per core, each over a contiguous candidate range of
     * about equal column count, writing disjoint slices of `sim`, `lbs` and
@@ -264,6 +269,12 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     val order = Array.range(0, nt) // descending UB, stable
     Bounds.sortDescending(order, new Array[Int](nt), nt, ubs)
 
+    // U(S,T) of candidate c from its slice of the block's similarities
+    def verified(c: Int): Double = {
+      val from = start(c)
+      Matching.unionability(
+        Array.tabulate(m, start(c + 1) - from)((i, j) => sim(i * width + from + j).toDouble), tau)
+    }
     val heap = newHeap
     var verifications = 0L
     var stop = false
@@ -273,18 +284,17 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
         val ub  = ubs(cand)
         if (heap.size < k) {
           // heap must fill to k regardless of bounds (UB=0 ⇒ exact=0: free)
-          val u = if (ub == 0.0) 0.0 else { verifications += 1; verifyAt(qEmb, tables(cand)) }
-          heap.enqueue((tid, u))
+          offer(heap, k, (tid, if (ub == 0.0) 0.0 else { verifications += 1; verified(cand) }))
         } else if (ub == 0.0) {
           // no τ-surviving edge ⇒ U(S,T)=0 without verification
-          if (beats((tid, 0.0), heap.head)) { heap.dequeue(); heap.enqueue((tid, 0.0)) }
+          offer(heap, k, (tid, 0.0))
         } else if (ub < heap.head._2) {
           stop = true // UBs only shrink from here — nothing below can enter
         } else if (ub < lbFloor) {
           () // ≥ k tables are guaranteed to score ≥ lbFloor > UB ≥ U(S,T): skip
         } else {
-          val u = verifyAt(qEmb, tables(cand)); verifications += 1
-          if (beats((tid, u), heap.head)) { heap.dequeue(); heap.enqueue((tid, u)) }
+          verifications += 1
+          offer(heap, k, (tid, verified(cand)))
         }
       }
     }
@@ -322,14 +332,13 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
 
   /** Index-backed search: the ColumnIndex proposes candidate tables
     * (approximate — false negatives possible), then the pruning verifier
-    * ranks them.
+    * ranks them; its candidate count is theirs, one table per distinct id.
     */
   def queryWithIndex(qEmb: IndexedSeq[Array[Float]], k: Int,
                      index: Search.ColumnIndex, probe: Int = 64): Result = {
     checkQuery(qEmb, k)
-    val t0    = System.nanoTime()
-    val cands = index.candidateTables(qEmb, tau, probe)
-    val res   = queryPruning(qEmb, k, Some(cands))
-    res.copy(candidates = cands.size, elapsedNanos = System.nanoTime() - t0)
+    val t0 = System.nanoTime()
+    queryPruning(qEmb, k, Some(index.candidateTables(qEmb, tau, probe)))
+      .copy(elapsedNanos = System.nanoTime() - t0)
   }
 }

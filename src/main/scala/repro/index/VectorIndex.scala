@@ -33,15 +33,20 @@ object VectorIndex {
     */
   private val NormTolerance = 1e-3f
 
+  /** Requires `v` (`what` names it) to be unit-norm, within [[NormTolerance]], or all-zero. */
+  def requireUnitOrZero(v: Array[Float], what: String): Unit = {
+    val n = Linalg.norm(v)
+    require(math.abs(n - 1.0f) <= NormTolerance || v.forall(_ == 0.0f),
+      s"$what must be unit-norm or all-zero, its norm is $n")
+  }
+
   /** Requires `v` (`what`: "vector" or "query") to have `dim` entries and to
     * be unit-norm or all-zero. Zero is legal: `Linalg.normalize` leaves it
     * as is, and a column with no tokens hashes to it.
     */
   def requireInput(v: Array[Float], dim: Int, what: String): Unit = {
     require(v.length == dim, s"$what has ${v.length} dimensions, index has $dim")
-    val n = Linalg.norm(v)
-    require(math.abs(n - 1.0f) <= NormTolerance || v.forall(_ == 0.0f),
-      s"$what must be unit-norm or all-zero, its norm is $n")
+    requireUnitOrZero(v, what)
   }
 }
 

@@ -73,7 +73,7 @@ class BoundsSpec extends AnyFunSuite {
   }
 
   test("Example 4.2: LB ≤ exact (2.15) ≤ UB") {
-    val exact = Matching.maxWeightMatching(Matching.thresholded(fig7, 0.5))._1
+    val exact = Matching.unionability(fig7, 0.5)
     assert(math.abs(exact - 2.15) < 1e-9)
     assert(Bounds.lowerBound(fig7, 0.5) <= exact)
     assert(exact <= Bounds.upperBound(fig7, 0.5))
@@ -98,7 +98,7 @@ class BoundsSpec extends AnyFunSuite {
       vals <- Gen.listOfN(m * n, Gen.choose(0.0, 1.0))
     } yield (Array.tabulate(m, n)((i, j) => vals(i * n + j)), tau)
     val prop = Prop.forAll(gen) { case (w, tau) =>
-      val exact = Matching.maxWeightMatching(Matching.thresholded(w, tau))._1
+      val exact = Matching.unionability(w, tau)
       val lb = Bounds.lowerBound(w, tau)
       val ub = Bounds.upperBound(w, tau)
       lb <= exact + 1e-9 && exact <= ub + 1e-9
@@ -116,7 +116,7 @@ class BoundsSpec extends AnyFunSuite {
     val w = Array(
       Array(1.0, 0.0),
       Array(0.0, 0.9))
-    val exact = Matching.maxWeightMatching(w)._1
+    val exact = Matching.unionability(w, 0.5)
     assert(Bounds.lowerBound(w, 0.5) == exact)
   }
 

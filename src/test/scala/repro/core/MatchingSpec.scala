@@ -35,25 +35,25 @@ class MatchingSpec extends AnyFunSuite {
   }
 
   test("Figure 7 example: max matching is 2.15") {
-    val (score, pairs) = Matching.maxWeightMatching(Matching.thresholded(fig7, 0.5))
-    assert(math.abs(score - 2.15) < 1e-9)
-    assert(pairs.toSet == Set((0, 0), (1, 1), (3, 2)))
+    assert(math.abs(Matching.unionability(fig7, 0.5) - 2.15) < 1e-9)
   }
 
-  test("thresholded zeroes sub-τ entries and keeps the rest") {
-    val t = Matching.thresholded(fig7, 0.5)
-    assert(t(2)(2) == 0.0)
-    assert(t(0)(1) == 0.85)
+  test("unionability drops edges below τ and keeps edges at τ") {
+    val w = Array(Array(0.3))
+    assert(Matching.unionability(w, 0.5) == 0.0)
+    assert(Matching.unionability(w, 0.3) == 0.3)
+    // Figure 7 at τ = 0.7 keeps s2–t2 (0.7): s1–t1 + s2–t2; above it only s1–t2
+    assert(Matching.unionability(fig7, 0.7) == 0.8 + 0.7)
+    assert(Matching.unionability(fig7, 0.75) == 0.85)
   }
 
   test("empty matrices give zero score") {
-    assert(Matching.maxWeightMatching(Array.empty[Array[Double]])._1 == 0.0)
-    assert(Matching.maxWeightMatching(Array(Array.empty[Double]))._1 == 0.0)
+    assert(Matching.unionability(Array.empty[Array[Double]], 0.5) == 0.0)
+    assert(Matching.unionability(Array(Array.empty[Double]), 0.5) == 0.0)
   }
 
   test("single edge") {
-    val (s, p) = Matching.maxWeightMatching(Array(Array(0.9)))
-    assert(s == 0.9 && p == Seq((0, 0)))
+    assert(Matching.unionability(Array(Array(0.9)), 0.5) == 0.9)
   }
 
   test("square identity-favoured matrix picks the diagonal") {
@@ -61,9 +61,7 @@ class MatchingSpec extends AnyFunSuite {
       Array(1.0, 0.1, 0.1),
       Array(0.1, 1.0, 0.1),
       Array(0.1, 0.1, 1.0))
-    val (s, p) = Matching.maxWeightMatching(w)
-    assert(math.abs(s - 3.0) < 1e-9)
-    assert(p.toSet == Set((0, 0), (1, 1), (2, 2)))
+    assert(math.abs(Matching.unionability(w, 0.0) - 3.0) < 1e-9)
   }
 
   test("greedy-suboptimal case is solved optimally") {
@@ -72,41 +70,39 @@ class MatchingSpec extends AnyFunSuite {
     val w = Array(
       Array(0.9, 0.8),
       Array(0.8, 0.1))
-    val (s, _) = Matching.maxWeightMatching(w)
-    assert(math.abs(s - 1.6) < 1e-9)
+    assert(math.abs(Matching.unionability(w, 0.0) - 1.6) < 1e-9)
   }
 
   test("wide matrix (more columns than rows)") {
-    val w = Array(Array(0.1, 0.9, 0.3))
-    val (s, p) = Matching.maxWeightMatching(w)
-    assert(s == 0.9 && p == Seq((0, 1)))
+    assert(Matching.unionability(Array(Array(0.1, 0.9, 0.3)), 0.0) == 0.9)
   }
 
   test("tall matrix (more rows than columns)") {
-    val w = Array(Array(0.2), Array(0.9), Array(0.5))
-    val (s, p) = Matching.maxWeightMatching(w)
-    assert(s == 0.9 && p == Seq((1, 0)))
+    assert(Matching.unionability(Array(Array(0.2), Array(0.9), Array(0.5)), 0.0) == 0.9)
   }
 
-  test("matched pairs never reuse a row or column") {
+  test("a matching uses each row and column at most once") {
+    // the optimum is (0,0) + (2,1) = 1.2; reusing column 0 would give 2.6,
+    // and in the transpose reusing row 0 would
     val w = Array(
-      Array(0.5, 0.6, 0.7),
-      Array(0.7, 0.6, 0.5),
-      Array(0.6, 0.9, 0.6))
-    val (_, pairs) = Matching.maxWeightMatching(w)
-    assert(pairs.map(_._1).distinct.size == pairs.size)
-    assert(pairs.map(_._2).distinct.size == pairs.size)
+      Array(0.9, 0.2),
+      Array(0.9, 0.1),
+      Array(0.8, 0.3))
+    val wt = Array.tabulate(2, 3)((i, j) => w(j)(i))
+    assert(math.abs(Matching.unionability(w, 0.0) - 1.2) < 1e-9)
+    assert(math.abs(Matching.unionability(wt, 0.0) - 1.2) < 1e-9)
   }
 
   test("Hungarian equals brute force on random small matrices (property)") {
     val gen = for {
       m <- Gen.choose(1, 5)
       n <- Gen.choose(1, 5)
+      tau <- Gen.oneOf(0.0, 0.5)
       vals <- Gen.listOfN(m * n, Gen.choose(0.0, 1.0))
-    } yield Array.tabulate(m, n)((i, j) => vals(i * n + j))
-    val prop = Prop.forAll(gen) { w =>
-      val (hung, _) = Matching.maxWeightMatching(w)
-      math.abs(hung - bruteForce(w)) < 1e-9
+    } yield (Array.tabulate(m, n)((i, j) => vals(i * n + j)), tau)
+    val prop = Prop.forAll(gen) { case (w, tau) =>
+      val edges = w.map(_.map(x => if (x >= tau) x else 0.0))
+      math.abs(Matching.unionability(w, tau) - bruteForce(edges)) < 1e-9
     }
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(80), prop).passed)
   }

@@ -134,24 +134,41 @@ class SearchSpec extends AnyFunSuite {
   }
 
   test("lake and query columns of another dimension are rejected by every query mode") {
+    // every query mode over a LinearIndex on the lake l, and verify of its first table
+    def modes(s: UnionSearcher, l: IndexedSeq[(String, IndexedSeq[Array[Float]])],
+              q: IndexedSeq[Array[Float]]): Seq[() => Any] = {
+      val index = Search.buildColumnIndex(l, d => new LinearIndex(d))
+      Seq(() => s.queryLinear(q, 5), () => s.queryPruning(q, 5),
+          () => s.queryWithIndex(q, 5, index), () => s.verify(q, l.head._1))
+    }
     val odd = lake.take(3) :+ ("odd" -> IndexedSeq(Linalg.normalize(Array.fill(15)(1.0f))))
     val e = intercept[IllegalArgumentException](new UnionSearcher(odd, tau = 0.5))
     assert(e.getMessage.contains("share one dimension"))
     // a shorter query column would give a truncated dot, a longer one an
     // out-of-bounds read
-    val index = Search.buildColumnIndex(lake, d => new LinearIndex(d))
     for (d <- Seq(15, 17);
-         q = IndexedSeq.fill(2)(Linalg.normalize(Array.fill(d)(1.0f)));
-         run <- Seq[() => Any](() => searcher.queryLinear(q, 5),
-                               () => searcher.queryPruning(q, 5),
-                               () => searcher.queryWithIndex(q, 5, index),
-                               () => searcher.verify(q, lake.head._1))) {
+         run <- modes(searcher, lake, IndexedSeq.fill(2)(Linalg.normalize(Array.fill(d)(1.0f))))) {
       val e = intercept[IllegalArgumentException](run())
       assert(e.getMessage.contains("the lake's dimension 16"))
     }
     // verify also names a table id that is not in the lake
     val e2 = intercept[IllegalArgumentException](searcher.verify(byId("g0t0"), "nope"))
     assert(e2.getMessage.contains("'nope' is not in the lake"))
+    // a column that is neither unit-norm nor all-zero would turn the τ cosine
+    // test into a dot-product test
+    val long = lake.take(3) :+ ("long" -> IndexedSeq(Array.fill(16)(0.5f)))
+    val e3 = intercept[IllegalArgumentException](new UnionSearcher(long, tau = 0.5))
+    assert(e3.getMessage.contains("lake column must be unit-norm or all-zero, its norm is 2.0"))
+    for (run <- modes(searcher, lake, IndexedSeq(byId("g0t0").head, Array.fill(16)(0.5f)))) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains("query column must be unit-norm or all-zero, its norm is 2.0"))
+    }
+    // all-zero columns are accepted in the lake and in every query mode, and score 0
+    val zero = new Array[Float](16)
+    val withZero = lake.take(3) :+ ("zero" -> IndexedSeq(zero, byId("g0t0").head))
+    val zs = new UnionSearcher(withZero, tau = 0.5)
+    modes(zs, withZero, IndexedSeq(zero, byId("g0t0")(1))).foreach(_())
+    assert(zs.verify(IndexedSeq(zero), "g0t0") == 0.0)
   }
 
   test("duplicate table ids are rejected") {
@@ -297,6 +314,23 @@ class SearchSpec extends AnyFunSuite {
         s.queryWithIndex(c.query, c.k, index, probe = nCols).ranked ==
           s.queryPruning(c.query, c.k).ranked.filter(_._2 > 0)
       }
+    }))
+  }
+
+  test("Pruning over a candidate list and LinearIndex-backed search give each table verify's score bits (property)") {
+    // candidates in shuffled order, so that their columns sit at gathered
+    // block offsets, not at their lake offsets
+    assert(holds(Prop.forAllNoShrink(genCase, Gen.long) { (c, seed) =>
+      val s     = new UnionSearcher(c.lake, c.tau)
+      val rnd   = new Random(seed)
+      val ids   = rnd.shuffle(c.lake.map(_._1))
+      val nCols = c.lake.map(_._2.size).sum
+      val viaIndex =
+        if (nCols == 0) IndexedSeq.empty
+        else s.queryWithIndex(c.query, c.k, Search.buildColumnIndex(c.lake, d => new LinearIndex(d)),
+                              probe = nCols).ranked
+      val ranked = s.queryPruning(c.query, c.k, Some(ids.take(rnd.nextInt(ids.size + 1)))).ranked ++ viaIndex
+      scoreBits(ranked) == scoreBits(ranked.map { case (id, _) => (id, s.verify(c.query, id)) })
     }))
   }
 
