@@ -91,8 +91,6 @@ object D3L {
     private val index = Search.buildColumnIndex(lake.map(t => t.id -> hashed(t)),
       d => new repro.index.SimHashLsh(d, LshTables, LshBits, seed = 19))
 
-    def tableScore(q: TableData, tid: String): Double = score(q.columns.map(signature), tid)
-
     /** the matching score of table `tid` against the query's column signatures */
     private def score(qs: IndexedSeq[ColSig], tid: String): Double = {
       val ts = sigs(tid)

@@ -2,11 +2,13 @@ package repro.core
 
 import scala.util.Random
 
-/** Table-level data augmentation operators (paper Table 1 + Appendix B.1).
+/** Table-level data augmentation (paper Table 1 + Appendix B.1).
   *
-  * Each operator returns the augmented view together with the column
-  * alignment `augIdx -> origIdx`: in the multi-column contrastive setting the
-  * aligned pairs form the positives of Eq. 3 (Figure 5 of the paper).
+  * An operator returns the augmented view together with the column alignment
+  * `augIdx -> origIdx`: in the multi-column contrastive setting the aligned
+  * pairs form the positives of Eq. 3 (Figure 5 of the paper). Every model here
+  * trains with `drop_col`, the one operator defined; DESIGN.md §2 covers the
+  * other ten.
   */
 object Augment {
 
@@ -17,149 +19,18 @@ object Augment {
 
   type Op = (TableData, Random) => View
 
-  private def identityAlign(t: TableData): IndexedSeq[Int] = t.columns.indices
-
-  /** drop_cell — blank a random cell in each column (cell-level). */
-  def dropCell(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      if (c.values.isEmpty) c
-      else {
-        val i = rnd.nextInt(c.values.size)
-        c.copy(values = c.values.updated(i, ""))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** drop_token — drop a random token inside a random cell of each column. */
-  def dropToken(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      val multi = c.values.zipWithIndex.filter(_._1.trim.contains(" "))
-      if (multi.isEmpty) c
-      else {
-        val (v, i) = multi(rnd.nextInt(multi.size))
-        val toks   = v.split("\\s+").toBuffer
-        toks.remove(rnd.nextInt(toks.size))
-        c.copy(values = c.values.updated(i, toks.mkString(" ")))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** swap_token — swap two tokens inside a random multi-token cell. */
-  def swapToken(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      val multi = c.values.zipWithIndex.filter(_._1.trim.contains(" "))
-      if (multi.isEmpty) c
-      else {
-        val (v, i) = multi(rnd.nextInt(multi.size))
-        val toks   = v.split("\\s+").toBuffer
-        val a = rnd.nextInt(toks.size); val b = rnd.nextInt(toks.size)
-        val tmp = toks(a); toks(a) = toks(b); toks(b) = tmp
-        c.copy(values = c.values.updated(i, toks.mkString(" ")))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** repl_token — replace a random token with a token drawn from the same
-    * column (semantics-preserving: values stay within the column's domain).
-    */
-  def replToken(t: TableData, rnd: Random): View = {
-    val cols = t.columns.map { c =>
-      if (c.values.size < 2) c
-      else {
-        val i = rnd.nextInt(c.values.size)
-        val j = rnd.nextInt(c.values.size)
-        c.copy(values = c.values.updated(i, c.values(j)))
-      }
-    }
-    View(t.copy(columns = cols), identityAlign(t))
-  }
-
-  /** sample_row — keep a random `frac` of the rows (order not preserved). */
-  def sampleRow(frac: Double)(t: TableData, rnd: Random): View = {
-    val nRows = t.numRows
-    val keepN = math.max(1, (nRows * frac).toInt)
-    val keep  = rnd.shuffle((0 until nRows).toIndexedSeq).take(keepN)
-    View(projectRows(t, keep), identityAlign(t))
-  }
-
-  /** sample_row_ordered — like sample_row, preserving original row order. */
-  def sampleRowOrdered(frac: Double)(t: TableData, rnd: Random): View = {
-    val nRows = t.numRows
-    val keepN = math.max(1, (nRows * frac).toInt)
-    val keep  = rnd.shuffle((0 until nRows).toIndexedSeq).take(keepN).sorted
-    View(projectRows(t, keep), identityAlign(t))
-  }
-
-  /** shuffle_row — permute the row order of the whole table consistently. */
-  def shuffleRow(t: TableData, rnd: Random): View = {
-    val perm = rnd.shuffle((0 until t.numRows).toIndexedSeq)
-    View(projectRows(t, perm), identityAlign(t))
-  }
-
   /** drop_col — drop a random non-empty subset of columns (at most half,
     * always keeping at least one column). The paper's ablation found this the
     * best operator on SANTOS Small.
     */
   def dropCol(t: TableData, rnd: Random): View = {
-    if (t.numCols <= 1) return View(t, identityAlign(t))
+    if (t.numCols <= 1) return View(t, t.columns.indices)
     val nDrop = 1 + rnd.nextInt(math.max(1, t.numCols / 2))
     val drop  = rnd.shuffle(t.columns.indices.toIndexedSeq).take(nDrop).toSet
     val keep  = t.columns.indices.filterNot(drop.contains).toIndexedSeq
     View(t.copy(columns = keep.map(t.columns)), keep)
   }
 
-  /** drop_num_col — drop a random subset of the numeric columns. */
-  def dropNumCol(t: TableData, rnd: Random): View = {
-    val numeric = t.columns.indices.filter(i => t.columns(i).isNumeric)
-    if (numeric.isEmpty || numeric.size == t.numCols)
-      return View(t, identityAlign(t))
-    val nDrop = 1 + rnd.nextInt(numeric.size)
-    val drop  = rnd.shuffle(numeric.toIndexedSeq).take(nDrop).toSet
-    val keep  = t.columns.indices.filterNot(drop.contains).toIndexedSeq
-    View(t.copy(columns = keep.map(t.columns)), keep)
-  }
-
-  /** drop_nan_col — drop columns that are mostly blank/NaN. */
-  def dropNanCol(t: TableData, rnd: Random): View = {
-    def mostlyNan(c: ColumnData): Boolean = {
-      if (c.values.isEmpty) true
-      else {
-        val bad = c.values.count(v =>
-          v == null || v.trim.isEmpty || v.equalsIgnoreCase("nan"))
-        bad * 2 > c.values.size
-      }
-    }
-    val keep = t.columns.indices.filterNot(i => mostlyNan(t.columns(i))).toIndexedSeq
-    if (keep.isEmpty || keep.size == t.numCols) View(t, identityAlign(t))
-    else View(t.copy(columns = keep.map(t.columns)), keep)
-  }
-
-  /** shuffle_col — permute the column order. */
-  def shuffleCol(t: TableData, rnd: Random): View = {
-    val perm = rnd.shuffle(t.columns.indices.toIndexedSeq)
-    View(t.copy(columns = perm.map(t.columns)), perm)
-  }
-
   /** Operator registry keyed by the paper's operator names. */
-  val byName: Map[String, Op] = Map(
-    "drop_cell"          -> (dropCell _),
-    "drop_token"         -> (dropToken _),
-    "swap_token"         -> (swapToken _),
-    "repl_token"         -> (replToken _),
-    "sample_row"         -> sampleRow(0.5) _,
-    "sample_row_ordered" -> sampleRowOrdered(0.5) _,
-    "shuffle_row"        -> (shuffleRow _),
-    "drop_col"           -> (dropCol _),
-    "drop_num_col"       -> (dropNumCol _),
-    "drop_nan_col"       -> (dropNanCol _),
-    "shuffle_col"        -> (shuffleCol _),
-  )
-
-  private def projectRows(t: TableData, rows: IndexedSeq[Int]): TableData =
-    t.copy(columns = t.columns.map { c =>
-      c.copy(values = rows.collect { case r if r < c.values.size => c.values(r) })
-    })
+  val byName: Map[String, Op] = Map("drop_col" -> (dropCol _))
 }

@@ -23,8 +23,11 @@ object Matching {
   /** U over a similarity matrix: the maximum-weight bipartite matching of
     * its edges of weight ≥ τ. The Hungarian method runs on the negated,
     * τ-thresholded weights, transposed if needed so that rows ≤ cols.
+    * τ must be ≥ 0 (NaN is rejected): the method finds a perfect assignment,
+    * which is the best matching only while no kept edge is negative.
     */
   def unionability(weights: Array[Array[Double]], tau: Double): Double = {
+    require(tau >= 0, s"tau must be >= 0, got $tau")
     val rows = weights.length
     if (rows == 0 || weights(0).length == 0) return 0.0
     val cols = weights(0).length

@@ -127,11 +127,13 @@ object Search {
 }
 
 /** Top-k searcher over a fixed embedded lake. `tau` is the column-similarity
-  * lower bound of §4.1 (edge threshold in the bipartite graph). Table ids
-  * must be distinct and the lake's columns must share one dimension; every
-  * query asks for `k > 0` tables, with columns of that dimension. Lake and
-  * query columns are unit-norm or all-zero ([[VectorIndex.requireUnitOrZero]]),
-  * so that a dot product is their cosine.
+  * lower bound of §4.1 (edge threshold in the bipartite graph); it must be
+  * ≥ 0, because the §4.3 bounds and [[Matching.unionability]] assume that no
+  * kept edge weight is negative. Any τ > 1 keeps no edge, so every score is 0.
+  * Table ids must be distinct and the lake's columns must share one
+  * dimension; every query asks for `k > 0` tables, with columns of that
+  * dimension. Lake and query columns are unit-norm or all-zero
+  * ([[VectorIndex.requireUnitOrZero]]), so that a dot product is their cosine.
   *
   * The searcher holds every lake column by reference in one array, table by
   * table, with `Int` offsets and one id → table-index map. Queries keep all
@@ -143,6 +145,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                           tau: Double) {
   import Search._
 
+  require(tau >= 0, s"tau must be >= 0, got $tau")
   private val indexOf: Map[String, Int] = lake.iterator.map(_._1).zipWithIndex.toMap
   require(indexOf.size == lake.size,
     s"table ids must be distinct; the lake has ${lake.size} tables but ${indexOf.size} ids")
@@ -241,6 +244,12 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
   def queryPruning(qEmb: IndexedSeq[Array[Float]], k: Int,
                    candidateIds: Option[IndexedSeq[String]] = None): Result = {
     checkQuery(qEmb, k)
+    pruning(qEmb, k, candidateIds)
+  }
+
+  /** [[queryPruning]] with the query unchecked: `queryPruning`'s and `queryWithIndex`'s body */
+  private def pruning(qEmb: IndexedSeq[Array[Float]], k: Int,
+                      candidateIds: Option[IndexedSeq[String]]): Result = {
     val t0 = System.nanoTime()
     val tables = candidateIndexes(candidateIds)
     val nt = tables.length
@@ -338,7 +347,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                      index: Search.ColumnIndex, probe: Int = 64): Result = {
     checkQuery(qEmb, k)
     val t0 = System.nanoTime()
-    queryPruning(qEmb, k, Some(index.candidateTables(qEmb, tau, probe)))
+    pruning(qEmb, k, Some(index.candidateTables(qEmb, tau, probe)))
       .copy(elapsedNanos = System.nanoTime() - t0)
   }
 }

@@ -170,10 +170,13 @@ object Tables {
        f"| ${r.method} | ${r.nClusters} | ${r.avgSize}%.2f | ${100 * r.purity}%.2f | ${r.theta}%.2f |"))
       .mkString("\n")
 
-  /** Table 9-style qualitative print: sample values of the largest clusters. */
-  def renderT9(lake: Lake, result: ColumnClustering.Result, n: Int = 3): String = {
+  /** clusters Table 9's qualitative print shows */
+  private val T9Clusters = 3
+
+  /** Table 9-style qualitative print: sample values of the `T9Clusters` largest clusters. */
+  def renderT9(lake: Lake, result: ColumnClustering.Result): String = {
     val byId = lake.tables.map(t => t.id -> t).toMap
-    result.clusters.sortBy(-_.size).take(n).zipWithIndex.map { case (cluster, i) =>
+    result.clusters.sortBy(-_.size).take(T9Clusters).zipWithIndex.map { case (cluster, i) =>
       val sample = cluster.take(3).map { key =>
         val Array(tid, ci) = key.split('#')
         byId(tid).columns(ci.toInt).values.take(3).mkString(", ")

@@ -208,20 +208,24 @@ object LakeGen {
          queries.toIndexedSeq, templates)
   }
 
-  /** Table 4 micro-benchmark lake: 470 tables where 25% share the query's
-    * template ("positive class") and the remaining 75% are split evenly
-    * among `nNegClasses` other templates.
+  /** tables in a Table 4 micro-benchmark lake */
+  private val MicroTables = 470
+  /** seed of the micro-benchmark lake's query draw */
+  private val MicroSeed = 11L
+
+  /** Table 4 micro-benchmark lake: `MicroTables` tables where 25% share
+    * the query's template ("positive class") and the remaining 75% are split
+    * evenly among `nNegClasses` other templates.
     */
-  def microLake(base: Lake, nNegClasses: Int, nTables: Int = 470,
-                seed: Long = 11): Lake = {
-    val rnd = new Random(seed)
+  def microLake(base: Lake, nNegClasses: Int): Lake = {
+    val rnd = new Random(MicroSeed)
     val tplIds = base.templates.map(_.id)
     require(tplIds.size > nNegClasses, "need enough templates")
     val posTpl = tplIds.head
     val negTpls = tplIds.tail.take(nNegClasses)
     val byTpl = base.tables.groupBy(t => base.templateOf(t.id))
-    val nPos = nTables / 4
-    val nPerNeg = (nTables - nPos) / nNegClasses
+    val nPos = MicroTables / 4
+    val nPerNeg = (MicroTables - nPos) / nNegClasses
     def sample(tpl: String, n: Int): IndexedSeq[TableData] = {
       val pool = byTpl(tpl)
       (0 until n).map(i => pool(i % pool.size))

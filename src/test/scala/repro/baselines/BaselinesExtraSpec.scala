@@ -50,7 +50,7 @@ class BaselinesExtraSpec extends AnyFunSuite {
     assert(res.map(_._2) == res.map(_._2).sorted(Ordering[Double].reverse))
   }
 
-  test("D3L tableScore still computable for any table (verification path)") {
+  test("D3L query ranks the query table first with a positive score") {
     val cfg = LakeConfig(name = "d3l2", nTemplates = 3, derivedPerTemplate = 3,
       arityMin = 3, arityMax = 3, sharedTypesPerTemplate = 1, nSharedSurfaces = 2,
       rowsPerDerived = 10, poolSize = 20, colKeepFraction = 1.0,
@@ -58,9 +58,8 @@ class BaselinesExtraSpec extends AnyFunSuite {
     val lake = LakeGen.generate(cfg)
     val searcher = new D3L.Searcher(lake.tables)
     val q = lake.tables.head
-    val self  = searcher.tableScore(q, q.id)
-    val other = searcher.tableScore(q, lake.tables.last.id)
-    assert(self >= other)
-    assert(self > 0)
+    val (top, score) = searcher.query(q, 5).head
+    assert(top == q.id)
+    assert(score > 0)
   }
 }

@@ -45,6 +45,11 @@ class MatchingSpec extends AnyFunSuite {
     // Figure 7 at τ = 0.7 keeps s2–t2 (0.7): s1–t1 + s2–t2; above it only s1–t2
     assert(Matching.unionability(fig7, 0.7) == 0.8 + 0.7)
     assert(Matching.unionability(fig7, 0.75) == 0.85)
+    // a negative τ would keep the −0.95 edge, and the perfect assignment the
+    // Hungarian method finds would then score 0 instead of 0.9
+    val e = intercept[IllegalArgumentException](
+      Matching.unionability(Array(Array(0.9, 0.0), Array(0.0, -0.95)), -1.0))
+    assert(e.getMessage.contains("tau must be >= 0"))
   }
 
   test("empty matrices give zero score") {

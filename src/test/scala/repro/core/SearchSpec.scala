@@ -144,6 +144,11 @@ class SearchSpec extends AnyFunSuite {
     val odd = lake.take(3) :+ ("odd" -> IndexedSeq(Linalg.normalize(Array.fill(15)(1.0f))))
     val e = intercept[IllegalArgumentException](new UnionSearcher(odd, tau = 0.5))
     assert(e.getMessage.contains("share one dimension"))
+    // the §4.3 bounds and the matching assume no kept edge is negative
+    for (tau <- Seq(-0.1, Double.NaN)) {
+      val e = intercept[IllegalArgumentException](new UnionSearcher(lake, tau))
+      assert(e.getMessage.contains("tau must be >= 0"))
+    }
     // a shorter query column would give a truncated dot, a longer one an
     // out-of-bounds read
     for (d <- Seq(15, 17);

@@ -110,7 +110,7 @@ class LakeGenSpec extends SparkSpec {
   test("microLake has ~470 tables with 25% positives") {
     val base = LakeGen.generate(cfg.copy(nTemplates = 12, derivedPerTemplate = 60,
       nQueries = 0, name = "microbase"))
-    val micro = LakeGen.microLake(base, nNegClasses = 4, nTables = 470)
+    val micro = LakeGen.microLake(base, nNegClasses = 4)
     assert(micro.tables.size >= 300 && micro.tables.size <= 470)
     val posTpl = base.templates.head.id
     val nPos = micro.tables.count(t => micro.templateOf(t.id) == posTpl)
