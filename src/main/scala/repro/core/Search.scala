@@ -22,18 +22,21 @@ object Search {
 
   /** Work below which a part of a query runs inline on the calling thread;
     * from this much on it is split into one fork/join task per core. A
-    * Pruning filter's work is the query-column × candidate-column pairs it
-    * scores. A query's probes are weighed by their index's column count
-    * instead, a deliberate stand-in: what one probe reads depends on the
-    * index (every column for `LinearIndex`, a few buckets for simHash LSH,
-    * about efSearch × degree nodes for HNSW), and the probes measured below
-    * pay reliably only from about 8,000 columns on.
+    * Pruning filter over candidates weighs the query-column × candidate-column
+    * pairs it scores; the full-lake filter stays inline at any size (split 4
+    * ways, its `dotByDim` pass over 3,252 columns took as long, 266–323 vs
+    * 207–270 µs, for about twice the CPU time, 480–660 vs 270–360 µs). A
+    * query's probes are weighed by their index's column count instead, a
+    * deliberate stand-in: what one probe reads depends on the index (every
+    * column for `LinearIndex`, a few buckets for simHash LSH, about efSearch
+    * × degree nodes for HNSW), and the probes measured below pay reliably
+    * only from about 8,000 columns on.
     *
     * Measured on 4 vCPUs (d = 128, 6 query columns, medians of 1,000
     * interleaved calls with 1 ms of other work between them, so that idle
-    * workers park): a filter split 4 ways pays from about 2,000 pairs
-    * (150 → 115 µs) and takes half the time or less from 4,096 on (348 →
-    * 192 µs; 6,144 pairs 498 → 257 µs). Six probes of a 3,252-column simHash
+    * workers park): a `dotBlock` filter split 4 ways pays from about 2,000
+    * pairs (150 → 115 µs) and takes half the time or less from 4,096 on (348
+    * → 192 µs; 6,144 pairs 498 → 257 µs). Six probes of a 3,252-column simHash
     * LSH index, about 20 µs each, split ran from 40% slower to 25% faster
     * across runs; 4,096 keeps them inline. From 8,192 columns on the probes
     * pay (LSH over 14,500 columns 280 → 184 µs, HNSW over 9,700 columns
@@ -138,8 +141,8 @@ object Search {
   * The searcher holds every lake column by reference in one array, table by
   * table, with `Int` offsets and one id → table-index map. Queries keep all
   * their working buffers in the call, so concurrent queries on one searcher
-  * are safe. A Pruning query splits its filter across the cores (see
-  * `queryPruning`); that is safe from inside the common fork/join pool too.
+  * are safe. A Pruning query over candidates splits its filter across the
+  * cores (see `queryPruning`), safe from inside the common fork/join pool too.
   */
 final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
                           tau: Double) {
@@ -158,6 +161,12 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     s"lake columns must share one dimension; found ${cols.map(_.length).distinct.mkString(", ")}")
   cols.foreach(VectorIndex.requireUnitOrZero(_, "lake column"))
   private val offsets: Array[Int] = lake.iterator.map(_._2.size).scanLeft(0)(_ + _).toArray
+  /** the lake dimension-major, byDim(p)(j) = cols(j)(p): the full-lake filter's, built on first use */
+  private lazy val byDim: Array[Array[Float]] = {
+    val t = Array.ofDim[Float](math.max(dim, 0), cols.length)
+    for (j <- cols.indices) { val c = cols(j); var p = 0; while (p < c.length) { t(p)(j) = c(p); p += 1 } }
+    t
+  }
   private val maxCols = if (lake.isEmpty) 0 else lake.iterator.map(_._2.size).max
 
   // Deterministic total order on (tableId, score): score descending, id
@@ -230,16 +239,16 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     * Returns exactly the Linear result (modulo ties) with fewer verifications.
     * Candidate ids must be distinct lake tables.
     *
-    * The filter computes every query-column × candidate-column similarity in
-    * one `Linalg.dotBlock` pass, with the candidates' columns side by side,
-    * then both bounds of each table from one sort of its τ-surviving edges.
-    * A verified table is scored from its m × n slice of those similarities,
-    * widened to `Double`: the bits `Matching.simMatrix` would recompute.
-    * From [[Search.MinSplitWork]] similarities on, the filter runs as one
-    * fork/join task per core, each over a contiguous candidate range of
-    * about equal column count, writing disjoint slices of `sim`, `lbs` and
-    * `ubs`. Every float operation is the serial one, so the ranked list does
-    * not depend on the split.
+    * The filter computes every query-column × candidate-column similarity,
+    * one row per query column, then both bounds of each table from one sort
+    * of its τ-surviving edges. Over the full lake, `Linalg.dotByDim` reads the
+    * dimension-major copy on the calling thread; over a candidate list,
+    * `Linalg.dotBlock` reads the candidates' columns side by side and, from
+    * [[Search.MinSplitWork]] similarities on, runs as one fork/join task per
+    * core over candidate ranges of about equal column count. A verified table
+    * is scored from its m × n slice of the similarities, widened to `Double`:
+    * the bits `Matching.simMatrix` would recompute. Both kernels have `dot`'s
+    * bits, so the ranked list depends neither on the kernel nor on the split.
     */
   def queryPruning(qEmb: IndexedSeq[Array[Float]], k: Int,
                    candidateIds: Option[IndexedSeq[String]] = None): Result = {
@@ -265,12 +274,33 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     val q = qEmb.toArray
     val m = q.length
     val width = block.length
-    val sim = new Array[Float](m * width)
+    val sim = Array.ofDim[Float](m, width)
     val lbs = new Array[Double](nt)
     val ubs = new Array[Double](nt)
-    val tasks = tasksFor(m.toLong * width)
-    if (tasks == 1) filterRange(q, block, start, sim, lbs, ubs, 0, nt)
-    else forkRanges(nt, tasks, c => start(c))(filterRange(q, block, start, sim, lbs, ubs, _, _))
+    // the filter over candidates first until end: their similarities into
+    // `sim`, then both bounds of each from one sort of its τ-surviving edges
+    def filterRange(first: Int, end: Int): Unit = {
+      if (candidateIds.isEmpty) Linalg.dotByDim(q, byDim, start(first), start(end), sim)
+      else Linalg.dotBlock(q, block, start(first), start(end), sim)
+      val edges = new Bounds.EdgeList(m, maxCols, tau)
+      var c = first
+      while (c < end) {
+        val from = start(c); val n = start(c + 1) - from
+        edges.clear()
+        var i = 0
+        while (i < m) {
+          val row = sim(i)
+          var j = 0
+          while (j < n) { edges.add(i, j, row(from + j).toDouble); j += 1 }
+          i += 1
+        }
+        edges.bound(m, n)
+        lbs(c) = edges.lb; ubs(c) = edges.ub
+        c += 1
+      }
+    }
+    val tasks = if (candidateIds.isEmpty) 1 else tasksFor(m.toLong * width)
+    if (tasks == 1) filterRange(0, nt) else forkRanges(nt, tasks, c => start(c))(filterRange)
     // admission floor: at least k tables have exact score ≥ kth-largest LB
     val lbFloor =
       if (nt >= k) { val s = lbs.clone(); java.util.Arrays.sort(s); s(nt - k) }
@@ -282,7 +312,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     def verified(c: Int): Double = {
       val from = start(c)
       Matching.unionability(
-        Array.tabulate(m, start(c + 1) - from)((i, j) => sim(i * width + from + j).toDouble), tau)
+        Array.tabulate(m, start(c + 1) - from)((i, j) => sim(i)(from + j).toDouble), tau)
     }
     val heap = newHeap
     var verifications = 0L
@@ -309,34 +339,6 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     }
     Result(heap.dequeueAll.reverse.toIndexedSeq, verifications, nt,
            System.nanoTime() - t0)
-  }
-
-  /** Pruning's filter over candidates first until end: the similarities of
-    * block columns start(first) until start(end) into `sim` (row i at
-    * i × block.length), then both bounds of each of those candidates into
-    * `lbs` and `ubs`, from one sort of its τ-surviving edges.
-    */
-  private def filterRange(q: Array[Array[Float]], block: Array[Array[Float]], start: Array[Int],
-                          sim: Array[Float], lbs: Array[Double], ubs: Array[Double],
-                          first: Int, end: Int): Unit = {
-    Linalg.dotBlock(q, block, start(first), start(end), sim)
-    val m = q.length
-    val width = block.length
-    val edges = new Bounds.EdgeList(m, maxCols, tau)
-    var c = first
-    while (c < end) {
-      val from = start(c); val n = start(c + 1) - from
-      edges.clear()
-      var i = 0
-      while (i < m) {
-        var j = 0
-        while (j < n) { edges.add(i, j, sim(i * width + from + j).toDouble); j += 1 }
-        i += 1
-      }
-      edges.bound(m, n)
-      lbs(c) = edges.lb; ubs(c) = edges.ub
-      c += 1
-    }
   }
 
   /** Index-backed search: the ColumnIndex proposes candidate tables

@@ -178,13 +178,41 @@ class LinalgSpec extends AnyFunSuite {
       until <- Gen.choose(from, n)
     } yield (a.toArray, b.toArray, from, until)
     check(Prop.forAllNoShrink(gen) { case (a, b, from, until) =>
-      val out = Array.fill(a.length * b.length)(Float.NaN)
+      val out = Array.fill(a.length, b.length)(Float.NaN)
       Linalg.dotBlock(a, b, from, until, out)
       val sim = Matching.simMatrix(a.toIndexedSeq, b.toIndexedSeq)
       a.indices.forall(i => b.indices.forall(j =>
-        if (j < from || j >= until) out(i * b.length + j).isNaN
-        else java.lang.Float.floatToIntBits(out(i * b.length + j)) ==
+        if (j < from || j >= until) out(i)(j).isNaN
+        else java.lang.Float.floatToIntBits(out(i)(j)) ==
           java.lang.Float.floatToIntBits(sim(i)(j).toFloat)))
     }, 1000)
+  }
+
+  test("dotByDim equals Matching.simMatrix bit for bit and leaves entries outside its range (property)") {
+    // n runs past two chunks of ByDimChunk columns, and [from, until) starts
+    // and ends at every offset, chunk boundaries included; entries hold
+    // exact ±0 and subnormals, and some lake columns are all zero
+    val chunk = Linalg.ByDimChunk
+    val gen = for {
+      m <- Gen.choose(0, 9)
+      d <- Gen.choose(1, 9)
+      n <- Gen.frequency(1 -> Gen.choose(0, 9), 3 -> Gen.choose(2 * chunk + 1, 2 * chunk + 9))
+      col = Gen.frequency(1 -> Gen.const(new Array[Float](d)), 5 -> Gen.listOfN(d, edgyFloat).map(_.toArray))
+      q    <- Gen.listOfN(m, Gen.listOfN(d, edgyFloat).map(_.toArray))
+      lake <- Gen.listOfN(n, col)
+      cut   = Gen.frequency(1 -> Gen.choose(0, n),
+                            1 -> Gen.oneOf(0, 1, chunk - 1, chunk, chunk + 1, 2 * chunk, n).map(math.min(_, n)))
+      ends <- Gen.listOfN(2, cut)
+    } yield (q.toArray, lake.toArray, d, ends.min, ends.max)
+    check(Prop.forAllNoShrink(gen) { case (q, lake, d, from, until) =>
+      val byDim = Array.tabulate(d, lake.length)((p, j) => lake(j)(p))
+      val out = Array.fill(q.length, lake.length)(Float.NaN)
+      Linalg.dotByDim(q, byDim, from, until, out)
+      val sim = Matching.simMatrix(q.toIndexedSeq, lake.toIndexedSeq)
+      q.indices.forall(i => lake.indices.forall(j =>
+        if (j < from || j >= until) out(i)(j).isNaN
+        else java.lang.Float.floatToRawIntBits(out(i)(j)) ==
+          java.lang.Float.floatToRawIntBits(sim(i)(j).toFloat)))
+    }, 200)
   }
 }

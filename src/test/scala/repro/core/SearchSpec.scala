@@ -218,10 +218,10 @@ class SearchSpec extends AnyFunSuite {
     }
   }
 
-  test("queries issued from inside a parallel stream equal the sequential ones, on a lake whose filter and probes split") {
-    // 1,200 tables of 4 columns: every query's filter and each probe of the
-    // 4,800-column indexes cover at least MinSplitWork, so they fork
-    // from inside the common pool's workers, as nested tasks
+  test("queries issued from inside a parallel stream equal the sequential ones, on a lake whose probes split") {
+    // 1,200 tables of 4 columns: each probe of the 4,800-column indexes
+    // covers at least MinSplitWork, so the probes fork from inside the
+    // common pool's workers, as nested tasks
     val big = mkLake(nGroups = 60, perGroup = 20, cols = 4, d = 16, seed = 11)
     val nCols = big.map(_._2.size).sum
     assert(nCols >= Search.MinSplitWork)
@@ -238,6 +238,26 @@ class SearchSpec extends AnyFunSuite {
       val parallel = new Array[Seq[(IndexedSeq[(String, Double)], Long, Int)]](queries.size)
       java.util.stream.IntStream.range(0, queries.size).parallel()
         .forEach((i: Int) => parallel(i) = run(queries(i)))
+      assert(parallel.toSeq == sequential)
+    }
+  }
+
+  test("the first full-lake Pruning queries of a fresh searcher, issued from a parallel stream, equal the sequential ones") {
+    // they build the dimension-major copy of the 4,800-column lake, about 5
+    // filter chunks, once between them, and answer as a sequential searcher
+    val big = mkLake(nGroups = 60, perGroup = 20, cols = 4, d = 16, seed = 17)
+    val queries = big.indices.filter(_ % 19 == 0).take(64).map(big(_)._2)
+    def run(s: UnionSearcher, q: IndexedSeq[Array[Float]]) = {
+      val r = s.queryPruning(q, 10)
+      (r.ranked, r.verifications)
+    }
+    val reference = new UnionSearcher(big, tau = 0.5)
+    val sequential = queries.map(run(reference, _))
+    (1 to 3).foreach { _ =>
+      val fresh = new UnionSearcher(big, tau = 0.5)
+      val parallel = new Array[(IndexedSeq[(String, Double)], Long)](queries.size)
+      java.util.stream.IntStream.range(0, queries.size).parallel()
+        .forEach((i: Int) => parallel(i) = run(fresh, queries(i)))
       assert(parallel.toSeq == sequential)
     }
   }
@@ -339,10 +359,11 @@ class SearchSpec extends AnyFunSuite {
     }))
   }
 
-  /** A lake of about 2 × MinSplitWork columns and a query of 1–6 columns, so
-    * that Pruning's filter and every probe of an index over the lake split:
-    * tables of 0–8 columns drawn around a pool of six directions, with
-    * repeats, ties and shuffled ids as in `genCase`.
+  /** A lake of about 2 × MinSplitWork columns, 8 chunks of the full-lake
+    * filter, and a query of 1–6 columns, so that every probe of an index over
+    * the lake and the filter of a large candidate list split: tables of 0–8
+    * columns drawn around a pool of six directions, with repeats, ties and
+    * shuffled ids as in `genCase`.
     */
   private val genSplitCase: Gen[LakeCase] = {
     val d = 8
@@ -365,11 +386,24 @@ class SearchSpec extends AnyFunSuite {
   private def scoreBits(ranked: IndexedSeq[(String, Double)]): IndexedSeq[(String, Long)] =
     ranked.map { case (id, u) => (id, java.lang.Double.doubleToRawLongBits(u)) }
 
-  test("Pruning whose filter splits across the cores returns Linear's ids and score bits (property)") {
+  test("Pruning whose candidate filter splits across the cores returns Linear's ids and score bits over the candidates (property)") {
+    // three quarters of the tables, shuffled, so that the candidates' columns
+    // sit at gathered block offsets; Linear runs on a lake of just those tables
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60),
+      Prop.forAllNoShrink(genSplitCase, Gen.long) { (c, seed) =>
+        val cands = new Random(seed).shuffle(c.lake).take(c.lake.size * 3 / 4)
+        val s = new UnionSearcher(c.lake, c.tau)
+        c.query.size.toLong * cands.map(_._2.size).sum >= Search.MinSplitWork &&
+          scoreBits(s.queryPruning(c.query, c.k, Some(cands.map(_._1))).ranked) ==
+            scoreBits(new UnionSearcher(cands, c.tau).queryLinear(c.query, c.k).ranked)
+      }).passed)
+  }
+
+  test("Pruning over a full lake of several filter chunks returns Linear's ids and score bits (property)") {
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(60),
       Prop.forAllNoShrink(genSplitCase) { c =>
         val s = new UnionSearcher(c.lake, c.tau)
-        c.lake.map(_._2.size).sum >= Search.MinSplitWork &&
+        c.lake.map(_._2.size).sum > 4 * Linalg.ByDimChunk &&
           scoreBits(s.queryPruning(c.query, c.k).ranked) == scoreBits(s.queryLinear(c.query, c.k).ranked)
       }).passed)
   }
