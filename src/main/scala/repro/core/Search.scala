@@ -28,20 +28,22 @@ object Search {
     * 207–270 µs, for about twice the CPU time, 480–660 vs 270–360 µs). A
     * query's probes are weighed by their index's column count instead, a
     * deliberate stand-in: what one probe reads depends on the index (every
-    * column for `LinearIndex`, a few buckets for simHash LSH, about efSearch
-    * × degree nodes for HNSW), and the probes measured below pay reliably
-    * only from about 8,000 columns on.
+    * column for `LinearIndex`, about efSearch × degree nodes for HNSW), and
+    * the probes measured below pay reliably only from about 8,000 columns
+    * on. simHash LSH probes, a few buckets each, never split: the index does
+    * not declare [[VectorIndex.concurrentSearch]].
     *
     * Measured on 4 vCPUs (d = 128, 6 query columns, medians of 1,000
     * interleaved calls with 1 ms of other work between them, so that idle
     * workers park): a `dotBlock` filter split 4 ways pays from about 2,000
     * pairs (150 → 115 µs) and takes half the time or less from 4,096 on (348
-    * → 192 µs; 6,144 pairs 498 → 257 µs). Six probes of a 3,252-column simHash
-    * LSH index, about 20 µs each, split ran from 40% slower to 25% faster
-    * across runs; 4,096 keeps them inline. From 8,192 columns on the probes
-    * pay (LSH over 14,500 columns 280 → 184 µs, HNSW over 9,700 columns
-    * 950 → 541 µs). HNSW probes over 3,252 columns would pay too (791 →
-    * 452 µs) but stay inline under the stand-in.
+    * → 192 µs; 6,144 pairs 498 → 257 µs). HNSW probes pay from 8,192 columns
+    * on (9,700 columns 950 → 541 µs); over 3,252 columns they would pay too
+    * (791 → 452 µs) but stay inline under the stand-in. simHash LSH probes
+    * (about 5 µs each over 3,252 columns, 11 µs over 14,038) pay at no
+    * measured size: whole LSH queries over santosLarge(3000)'s 14,038
+    * columns took 324–356 µs with the probes split and 232–258 µs inline
+    * (two runs; 480–513 µs split with the earlier 20–40 µs probes).
     */
   val MinSplitWork = 4096
 

@@ -7,10 +7,9 @@ import repro.core.Linalg
   * added and query vector has the index dimension and is unit-norm or
   * all-zero ([[VectorIndex.requireInput]]).
   *
-  * `add` must not run at the same time as another `add` or a search. An
-  * index whose searches may also run from several threads at once on one
-  * instance says so with [[concurrentSearch]]; `Search.ColumnIndex` probes a
-  * query's columns side by side only then.
+  * `add` must not run at the same time as another `add` or a search.
+  * [[concurrentSearch]] decides whether `Search.ColumnIndex` splits a query's
+  * probes across threads.
   */
 trait VectorIndex extends Serializable {
   /** insert a vector */
@@ -20,9 +19,11 @@ trait VectorIndex extends Serializable {
   def size: Int
   /** approximate in-memory footprint in bytes, for the Table 6 experiment */
   def memoryBytes: Long
-  /** true when searches on one instance may run from several threads at
-    * once; false, the default, keeps every search of a query on its calling
-    * thread, as a wrapper that does not forward this needs
+  /** true when `Search.ColumnIndex` splits a query's probes across threads,
+    * which needs searches that may run from several threads at once on one
+    * instance; false, the default, keeps them on the query's thread, as a
+    * wrapper that does not forward this needs and as probes too cheap to
+    * pay for a split want
     */
   def concurrentSearch: Boolean = false
 }

@@ -219,9 +219,10 @@ class SearchSpec extends AnyFunSuite {
   }
 
   test("queries issued from inside a parallel stream equal the sequential ones, on a lake whose probes split") {
-    // 1,200 tables of 4 columns: each probe of the 4,800-column indexes
-    // covers at least MinSplitWork, so the probes fork from inside the
-    // common pool's workers, as nested tasks
+    // 1,200 tables of 4 columns: the 4,800-column HNSW covers at least
+    // MinSplitWork, so its probes fork from inside the common pool's
+    // workers, as nested tasks; the LSH's probes run on the query's thread,
+    // side by side with the other queries' on one instance
     val big = mkLake(nGroups = 60, perGroup = 20, cols = 4, d = 16, seed = 11)
     val nCols = big.map(_._2.size).sum
     assert(nCols >= Search.MinSplitWork)
