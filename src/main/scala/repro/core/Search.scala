@@ -40,10 +40,10 @@ object Search {
     * → 192 µs; 6,144 pairs 498 → 257 µs). HNSW probes pay from 8,192 columns
     * on (9,700 columns 950 → 541 µs); over 3,252 columns they would pay too
     * (791 → 452 µs) but stay inline under the stand-in. simHash LSH probes
-    * (about 5 µs each over 3,252 columns, 11 µs over 14,038) pay at no
+    * (about 5 µs each over 3,252 columns, 13 µs over 14,038) pay at no
     * measured size: whole LSH queries over santosLarge(3000)'s 14,038
-    * columns took 324–356 µs with the probes split and 232–258 µs inline
-    * (two runs; 480–513 µs split with the earlier 20–40 µs probes).
+    * columns took 202–238 µs with the probes split and 133–166 µs inline
+    * (two runs; 329–368 µs split with the earlier 15–35 µs probes).
     */
   val MinSplitWork = 4096
 

@@ -21,9 +21,9 @@ trait VectorIndex extends Serializable {
   def memoryBytes: Long
   /** true when `Search.ColumnIndex` splits a query's probes across threads,
     * which needs searches that may run from several threads at once on one
-    * instance; false, the default, keeps them on the query's thread, as a
-    * wrapper that does not forward this needs and as probes too cheap to
-    * pay for a split want
+    * instance. False, the default, keeps them on the query's thread: a
+    * wrapper that does not forward this needs that, and so do probes too
+    * cheap to pay for a split.
     */
   def concurrentSearch: Boolean = false
 }
