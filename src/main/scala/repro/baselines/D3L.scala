@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.core._
+import repro.index.SimHashLsh
 import scala.collection.mutable
 
 /** D3L baseline (Bogatu et al., ICDE'20) — an ensemble of per-column
@@ -73,7 +74,9 @@ object D3L {
   /** simHash LSH banding of the candidate index: tables × bits per table. */
   private val LshTables = 6
   private val LshBits   = 10
-  /** columns each query column takes from the LSH index */
+  /** columns each query column takes from the LSH index, with every column
+    * that ties with the last of them
+    */
   private val LshProbe  = 64
 
   /** D3L searcher. As in the published system, candidate columns come from
@@ -88,8 +91,9 @@ object D3L {
     private val feat = new Featurizer()
     private def hashed(t: TableData): IndexedSeq[Array[Float]] =
       t.columns.map(c => feat.hashedTokens(c.tokens))
-    private val index = Search.buildColumnIndex(lake.map(t => t.id -> hashed(t)),
-      d => new repro.index.SimHashLsh(d, LshTables, LshBits, seed = 19))
+    private val index = new SimHashLsh(feat.cfg.hashDim, LshTables, LshBits, seed = 19)
+    private val owner: IndexedSeq[String] = lake.flatMap(t => t.columns.map(_ => t.id))
+    lake.iterator.flatMap(hashed).zipWithIndex.foreach { case (v, id) => index.add(id, v) }
 
     /** the matching score of table `tid` against the query's column signatures */
     private def score(qs: IndexedSeq[ColSig], tid: String): Double = {
@@ -97,12 +101,28 @@ object D3L {
       Matching.unionability(Array.tabulate(qs.size, ts.size)((i, j) => columnScore(qs(i), ts(j))), Tau)
     }
 
-    // every column the LSH returns nominates its table, whatever its cosine
+    /** Tables owning one of each query column's top-[[LshProbe]] LSH members
+      * or a member tied with the last of those, whatever its cosine, in query
+      * column then rank order. Exactly tied members come out in insertion
+      * order, but the cut keeps all of them, so the set does not depend on it.
+      */
+    private[baselines] def candidates(q: TableData): IndexedSeq[String] = {
+      val out = mutable.LinkedHashSet[String]()
+      hashed(q).foreach { v =>
+        val all = index.search(v, Int.MaxValue)
+        val cut = if (all.size <= LshProbe) all.size else {
+          val last = all(LshProbe - 1)._2
+          val below = all.indexWhere(_._2 < last, LshProbe)
+          if (below < 0) all.size else below
+        }
+        all.iterator.take(cut).foreach { case (id, _) => out += owner(id) }
+      }
+      out.toIndexedSeq
+    }
+
     def query(q: TableData, k: Int): IndexedSeq[(String, Double)] = {
       val qs = q.columns.map(signature)
-      index.candidateTables(hashed(q), Double.NegativeInfinity, LshProbe)
-        .map(tid => tid -> score(qs, tid))
-        .sortBy(-_._2).take(k)
+      candidates(q).map(tid => tid -> score(qs, tid)).sortBy(-_._2).take(k)
     }
   }
 }

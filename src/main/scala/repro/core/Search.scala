@@ -77,6 +77,27 @@ object Search {
     }: _*)
   }
 
+  /** Pruning's verification order and admission floor for tables with bounds
+    * `lbs`/`ubs` (0 ≤ LB ≤ UB). The order is the stable UB-descending sort of
+    * every table: the UB > 0 tables are sorted, then the UB = 0 ones follow in
+    * index order. The floor is the kth-largest LB of the UB > 0 tables, or 0.0
+    * when there are fewer than k: a UB = 0 table has LB = 0, so this is the
+    * kth-largest LB of all tables when there are k, and 0.0 skips nothing.
+    */
+  private[core] def verificationOrder(lbs: Array[Double], ubs: Array[Double], k: Int): (Array[Int], Double) = {
+    val nt = ubs.length
+    val order = new Array[Int](nt)
+    var live = 0
+    for (c <- 0 until nt if ubs(c) > 0.0) { order(live) = c; live += 1 }
+    var z = live
+    for (c <- 0 until nt if !(ubs(c) > 0.0)) { order(z) = c; z += 1 }
+    Bounds.sortDescending(order, new Array[Int](live), live, ubs)
+    val floor =
+      if (live < k) 0.0
+      else { val s = Array.tabulate(live)(o => lbs(order(o))); java.util.Arrays.sort(s); s(live - k) }
+    (order, floor)
+  }
+
   /** Column-level index over every column embedding of the lake, remembering
     * which table owns each vector. findCandidates(s, τ) = tables owning a
     * column with sim ≥ τ among the index's top-`probe` answers for s.
@@ -303,12 +324,7 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     }
     val tasks = if (candidateIds.isEmpty) 1 else tasksFor(m.toLong * width)
     if (tasks == 1) filterRange(0, nt) else forkRanges(nt, tasks, c => start(c))(filterRange)
-    // admission floor: at least k tables have exact score ≥ kth-largest LB
-    val lbFloor =
-      if (nt >= k) { val s = lbs.clone(); java.util.Arrays.sort(s); s(nt - k) }
-      else Double.NegativeInfinity
-    val order = Array.range(0, nt) // descending UB, stable
-    Bounds.sortDescending(order, new Array[Int](nt), nt, ubs)
+    val (order, lbFloor) = verificationOrder(lbs, ubs, k)
 
     // U(S,T) of candidate c from its slice of the block's similarities
     def verified(c: Int): Double = {
@@ -319,25 +335,26 @@ final class UnionSearcher(lake: IndexedSeq[(String, IndexedSeq[Array[Float]])],
     val heap = newHeap
     var verifications = 0L
     var stop = false
-    order.foreach { cand =>
-      if (!stop) {
-        val tid = lake(tables(cand))._1
-        val ub  = ubs(cand)
-        if (heap.size < k) {
-          // heap must fill to k regardless of bounds (UB=0 ⇒ exact=0: free)
-          offer(heap, k, (tid, if (ub == 0.0) 0.0 else { verifications += 1; verified(cand) }))
-        } else if (ub == 0.0) {
-          // no τ-surviving edge ⇒ U(S,T)=0 without verification
-          offer(heap, k, (tid, 0.0))
-        } else if (ub < heap.head._2) {
-          stop = true // UBs only shrink from here — nothing below can enter
-        } else if (ub < lbFloor) {
-          () // ≥ k tables are guaranteed to score ≥ lbFloor > UB ≥ U(S,T): skip
-        } else {
-          verifications += 1
-          offer(heap, k, (tid, verified(cand)))
-        }
+    var o = 0
+    while (o < nt && !stop) {
+      val cand = order(o)
+      val tid = lake(tables(cand))._1
+      val ub  = ubs(cand)
+      if (heap.size < k) {
+        // heap must fill to k regardless of bounds (UB=0 ⇒ exact=0: free)
+        offer(heap, k, (tid, if (ub == 0.0) 0.0 else { verifications += 1; verified(cand) }))
+      } else if (ub == 0.0) {
+        // no τ-surviving edge ⇒ U(S,T)=0 without verification
+        offer(heap, k, (tid, 0.0))
+      } else if (ub < heap.head._2) {
+        stop = true // UBs only shrink from here — nothing below can enter
+      } else if (ub < lbFloor) {
+        () // ≥ k tables are guaranteed to score ≥ lbFloor > UB ≥ U(S,T): skip
+      } else {
+        verifications += 1
+        offer(heap, k, (tid, verified(cand)))
       }
+      o += 1
     }
     Result(heap.dequeueAll.reverse.toIndexedSeq, verifications, nt,
            System.nanoTime() - t0)

@@ -9,8 +9,10 @@ import scala.collection.immutable.ArraySeq
   *
   * Faithful to the published algorithm: exponential level assignment with
   * mL = 1/ln(M); greedy descent through upper layers; beam search of width
-  * efConstruction at insertion / efSearch at query; neighbour lists pruned
-  * to M (2M at layer 0) keeping the closest.
+  * efConstruction at insertion / efSearch at query. Neighbours are chosen by
+  * the diversity heuristic as hnswlib runs it (`getNeighborsByHeuristic2`):
+  * a new node links to at most M of its candidates, and a list that grows
+  * past M (2M at layer 0) is re-selected, keeping only diverse picks.
   *
   * Data layout follows hnswlib: vectors are held by reference (never
   * copied); each node has one fixed-capacity `Int` link array per layer,
@@ -146,15 +148,16 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     }
   }
 
-  /** Neighbour selection heuristic (Malkov & Yashunin, Alg. 4): pick up to
-    * `cap` candidates that are closer to the query point than to any
-    * already-selected neighbour — diversity keeps clustered regions
-    * navigable. Remaining slots are filled with the closest leftovers.
-    * Reads `count` candidates best-first from `nodes`/`sims` and writes the
-    * selection into the link array `dst`.
+  /** Neighbour selection heuristic (Malkov & Yashunin, Alg. 4, with no refill
+    * of pruned slots, as in hnswlib): fewer than `cap` candidates are all
+    * kept; otherwise up to `cap` are picked, each strictly closer to the query
+    * point than to every earlier pick — diversity keeps clustered regions
+    * navigable. Reads `count` candidates best-first from `nodes`/`sims` and
+    * writes the selection, best first, into the link array `dst`.
     */
   private def selectHeuristic(s: Scratch, nodes: Array[Int], sims: Array[Float], count: Int,
                               cap: Int, dst: Array[Int]): Unit = {
+    if (count < cap) { System.arraycopy(nodes, 0, dst, 1, count); dst(0) = count; return }
     val tile = s.gatherSims
     var selected = 0
     var i = 0
@@ -171,15 +174,6 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
         j += t
       }
       if (diverse) { selected += 1; dst(selected) = c }
-      i += 1
-    }
-    i = 0
-    while (i < count && selected < cap) {
-      val c = nodes(i)
-      var chosen = false
-      var j = 1
-      while (!chosen && j <= selected) { chosen = dst(j) == c; j += 1 }
-      if (!chosen) { selected += 1; dst(selected) = c }
       i += 1
     }
     dst(0) = selected
@@ -258,6 +252,10 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     }
     found
   }
+
+  /** the node's link lists, layer 0 first: what tests read of the graph */
+  private[index] def linksOf(node: Int): IndexedSeq[IndexedSeq[Int]] =
+    links(node).toIndexedSeq.map(l => l.toIndexedSeq.slice(1, l(0) + 1))
 
   override def memoryBytes: Long = {
     var live = 0L

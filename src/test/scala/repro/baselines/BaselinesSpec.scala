@@ -124,6 +124,20 @@ class BaselinesSpec extends AnyFunSuite {
     assert(sameTpl >= 3)
   }
 
+  test("D3L's candidates keep every LSH member tied with the 64th, whatever the lake order") {
+    // 90 tables share one column, so its hashed-token vector ties 90 ways,
+    // past the 64 members each query column takes
+    val shared = ColumnData("c", IndexedSeq("alpha beta", "gamma delta", "epsilon"))
+    val tied = (0 until 90).map(i => TableData(s"tie$i",
+      IndexedSeq(shared, ColumnData("o", IndexedSeq(s"own$i", s"word$i")))))
+    val tables = tied ++ lake.tables
+    val q = TableData("q", IndexedSeq(shared))
+    val forward = new D3L.Searcher(tables).candidates(q)
+    val backward = new D3L.Searcher(tables.reverse).candidates(q)
+    assert(forward.toSet == backward.toSet)
+    assert(tied.map(_.id).toSet.subsetOf(forward.toSet))
+  }
+
   // ---- SANTOS --------------------------------------------------------------
 
   test("SANTOS annotates covered text columns with their surface") {

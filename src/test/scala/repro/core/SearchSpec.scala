@@ -426,6 +426,44 @@ class SearchSpec extends AnyFunSuite {
             scoreBits(s.queryPruning(c.query, c.k).ranked.filter(_._2 > 0))
       }).passed)
   }
+
+  test("Pruning's verification order and admission floor equal those of a sort over every table (property)") {
+    // bounds of 0–12 tables with 0–3 × 0–3 similarities drawn from a few
+    // repeated values, so UBs tie, all-zero tables keep 0-weight edges at
+    // τ = 0, and negative ones fall below any τ
+    val weight = Gen.frequency(3 -> Gen.oneOf(0.0, -0.3, 0.45, 0.7, 1.0), 2 -> Gen.choose(-1.0, 1.0))
+    val table = for {
+      m <- Gen.choose(0, 3); n <- Gen.choose(0, 3)
+      allZero <- Gen.oneOf(false, false, true)
+      w <- Gen.listOfN(m * n, if (allZero) Gen.const(0.0) else weight)
+    } yield (m, n, w.toArray)
+    val gen = for {
+      nt <- Gen.choose(0, 12)
+      tables <- Gen.listOfN(nt, table)
+      tau <- Gen.oneOf(Gen.const(0.0), Gen.choose(0.0, 0.9))
+      k <- Gen.choose(1, nt + 3)
+    } yield (tables, tau, k)
+    var zeroTau, fewerThanK, zeroUb = 0
+    assert(holds(Prop.forAllNoShrink(gen) { case (tables, tau, k) =>
+      val nt = tables.size
+      val lbs = new Array[Double](nt); val ubs = new Array[Double](nt)
+      tables.zipWithIndex.foreach { case ((m, n, w), c) =>
+        val edges = new Bounds.EdgeList(m, n, tau)
+        for (i <- 0 until m; j <- 0 until n) edges.add(i, j, w(i * n + j))
+        edges.bound(m, n)
+        lbs(c) = edges.lb; ubs(c) = edges.ub
+      }
+      if (tau == 0.0) zeroTau += 1
+      if (nt < k) fewerThanK += 1
+      if (ubs.contains(0.0)) zeroUb += 1
+      // the floor of a sort over every table; with fewer than k tables it
+      // used to be −∞, which skips as little as 0.0 since every UB is ≥ 0
+      val floor = if (nt >= k) lbs.sorted.apply(nt - k) else 0.0
+      val (order, lbFloor) = Search.verificationOrder(lbs, ubs, k)
+      order.toSeq == (0 until nt).sortBy(c => -ubs(c)) && lbFloor == floor
+    }))
+    assert(zeroTau > 0 && fewerThanK > 0 && zeroUb > 0)
+  }
 }
 
 object SearchSpec {

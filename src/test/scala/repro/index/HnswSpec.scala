@@ -115,7 +115,7 @@ class HnswSpec extends AnyFunSuite {
 
   test("build and search match the reference digest of the original implementation") {
     // SHA-256 over every query's (id, score bits), sorted by score descending
-    // then id, recorded from the boxed-tuple implementation this class replaced
+    // then id, recorded from the neighbour selection that keeps no refill
     val rnd = new Random(11)
     val d = 16
     val h = new Hnsw(d, seed = 5)
@@ -127,15 +127,16 @@ class HnswSpec extends AnyFunSuite {
       digestAnswers(md, res)
     }
     assert(hex(md) ==
-      "8907e9fd827bc847c575b653cf9c0748e7d60d5f924ec8d4a6c1eae1c4c9849f")
-    assert(h.memoryBytes == 351440L)
+      "7378e9ece81bb34a69b2ea6f317546162fbc8a0783bceecd267cb67ce56d97b9")
+    assert(h.memoryBytes == 309288L)
   }
 
   test("embedding-width build interleaved with searches matches its reference digest") {
-    // d = 128 with m = 4: many layers, and link lists overflow often, so
-    // linkBack re-selects on most inserts. Searches interleave with adds as
-    // in an ingesting lake, and the index makes one serialization round trip
-    // half way. Recorded from the per-neighbour implementation at 8a6c3e9.
+    // d = 128 with m = 4: six layers, and link lists fill up, so 956 of the
+    // 1,500 inserts re-select at least one overflowing list (2,543 lists in
+    // all). Searches interleave with adds as in an ingesting lake, and the
+    // index makes one serialization round trip half way. Recorded from the
+    // neighbour selection that keeps no refill.
     val rnd = new Random(12)
     val d = 128
     val centers = IndexedSeq.fill(40)(randomUnit(d, rnd))
@@ -151,8 +152,8 @@ class HnswSpec extends AnyFunSuite {
       if (i % 5 == 4) digestAnswers(md, h.search(point(), 16))
       if (i == 750) h = roundTrip(h)
     }
-    assert(hex(md) == "b8566f2a0529c10a5dcf93032c57358a79a013dbeb23f5a3501a204c47226038")
-    assert(h.memoryBytes == 820204L)
+    assert(hex(md) == "c1bc86b0e942df691fa6e0085473f4c2547d753dff7aa53b5a47c8eb64101c8d")
+    assert(h.memoryBytes == 817168L)
   }
 
   test("equal scores come back in ascending id order") {
@@ -200,6 +201,50 @@ class HnswSpec extends AnyFunSuite {
     assert(copy.memoryBytes == twin.memoryBytes)
     val after = queries.map(q => bits(twin.search(q, 16)))
     searchedAtOnce(copy, queries, 16, threads = 4).foreach(a => assert(a.map(bits) == after))
+  }
+
+  test("link lists stay within their cap, hold distinct nodes of their layer, and re-selected lists hold only diverse picks (property)") {
+    val rnd = new Random(41)
+    var reselected = 0
+    for (m <- Seq(2, 4, 16); d <- Seq(8, 128); trial <- 0 until 2) {
+      def cap(layer: Int): Int = if (layer == 0) 2 * m else m
+      val h = new Hnsw(d, m = m, efConstruction = 24 + 16 * trial, seed = rnd.nextLong())
+      val vecs = scala.collection.mutable.ArrayBuffer[Array[Float]]()
+      // one in ten all-zero, one in five a copy of an earlier vector
+      def point(): Array[Float] = rnd.nextInt(10) match {
+        case 0 => new Array[Float](d)
+        case 1 | 2 if vecs.nonEmpty => vecs(rnd.nextInt(vecs.size)).clone()
+        case _ => randomUnit(d, rnd)
+      }
+      (0 until 300).foreach { node =>
+        // a list at its cap that an insert changes was re-selected on overflow
+        val full = for {
+          x <- 0 until node; (list, layer) <- h.linksOf(x).zipWithIndex if list.size == cap(layer)
+        } yield (x, layer, list)
+        val v = point()
+        vecs += v
+        h.add(node, v)
+        full.foreach { case (x, layer, before) =>
+          val after = h.linksOf(x)(layer)
+          if (after != before) {
+            reselected += 1
+            for (i <- after.indices; j <- 0 until i) {
+              val pick = vecs(after(i))
+              assert(Linalg.dot(pick, vecs(after(j))) < Linalg.dot(pick, vecs(x)),
+                s"m $m, d $d: pick ${after(i)} of node $x on layer $layer is not diverse")
+            }
+          }
+        }
+      }
+      (0 until 300).foreach { x =>
+        h.linksOf(x).zipWithIndex.foreach { case (list, layer) =>
+          assert(list.size <= cap(layer), s"m $m, d $d: node $x, layer $layer")
+          assert(!list.contains(x) && list.distinct.size == list.size, s"m $m, d $d: node $x, layer $layer")
+          assert(list.forall(y => h.linksOf(y).size > layer), s"m $m, d $d: node $x, layer $layer")
+        }
+      }
+    }
+    assert(reselected > 100)
   }
 
   test("m below 2 is rejected") {
