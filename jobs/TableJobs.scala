@@ -40,7 +40,7 @@ object Table6Memory {
 
 object Table7MlDiscovery {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName("table7").getOrCreate()
     try {
       val res = Tables.table7(spark)

@@ -69,7 +69,7 @@ object ColumnClustering {
         vecs += v
       }
     }
-    val index = new Hnsw(vecs.head.length, m = 12, efConstruction = 80, efSearch = 48)
+    val index = new Hnsw(enc.dim, m = 12, efConstruction = 80, efSearch = 48)
     vecs.zipWithIndex.foreach { case (v, i) => index.add(i, v) }
     val neighbours = vecs.zipWithIndex.map { case (v, i) =>
       index.search(v, Probe).filter { case (j, s) => j != i && s >= minTheta }

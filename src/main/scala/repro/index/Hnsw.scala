@@ -14,12 +14,12 @@ import scala.collection.immutable.ArraySeq
   * a new node links to at most M of its candidates, and a list that grows
   * past M (2M at layer 0) is re-selected, keeping only diverse picks.
   *
-  * Data layout follows hnswlib: vectors are held by reference (never
-  * copied); each node has one fixed-capacity `Int` link array per layer,
-  * count in slot 0, room for the layer's cap plus one overflow slot; beam
-  * search runs on an epoch-stamped visited array and two primitive
-  * (sim, node) heaps. Exactly equal similarities are ordered by node id
-  * (insertion order), lower first.
+  * Data layout follows hnswlib: a [[LinearIndex]] holds the vectors, by
+  * reference, and the external ids; each node has one fixed-capacity `Int`
+  * link array per layer, count in slot 0, room for the layer's cap plus one
+  * overflow slot; beam search runs on an epoch-stamped [[Visited]] set and
+  * two primitive (sim, node) heaps. Exactly equal similarities are ordered
+  * by node id (insertion order), lower first.
   *
   * Similarities to a node's neighbours are computed together, four at a
   * time ([[Linalg.dotGather]], the bits of `dot`), and then consumed in
@@ -41,13 +41,11 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   private val levelMult = 1.0 / math.log(m.toDouble)
   private val rnd = new scala.util.Random(seed)
 
-  private var n = 0
-  private var vecs = new Array[Array[Float]](InitialCapacity)
-  private var extIds = new Array[Int](InitialCapacity)
+  private val store = new LinearIndex(dim)
   /** links(node)(layer): slot 0 holds the count, slots 1..count the node ids.
     * A node linked on a layer always has that layer, so lookups need no guard.
     */
-  private var links = new Array[Array[Array[Int]]](InitialCapacity)
+  private var links = new Array[Array[Array[Int]]](LinearIndex.InitialCapacity)
   private var entryPoint = -1
   private var maxLayer = -1
 
@@ -55,27 +53,20 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   @transient private lazy val scratches: ThreadLocal[Scratch] =
     ThreadLocal.withInitial(() => new Scratch(mMax0))
 
+  @inline private def vecs: Array[Array[Float]] = store.vectors
   @inline private def sim(a: Int, q: Array[Float]): Float = Linalg.dot(vecs(a), q)
   @inline private def capAt(layer: Int): Int = if (layer == 0) mMax0 else m
 
-  override def size: Int = n
+  override def size: Int = store.size
   /** each thread searches with its own buffers */
   override def concurrentSearch: Boolean = true
 
   override def add(id: Int, vec: Array[Float]): Unit = {
-    VectorIndex.requireInput(vec, dim, "vector")
-    val node = n
-    if (node == vecs.length) {
-      val cap = 2 * node
-      vecs = Array.copyOf(vecs, cap)
-      extIds = Array.copyOf(extIds, cap)
-      links = Array.copyOf(links, cap)
-    }
-    vecs(node) = vec
-    extIds(node) = id
+    val node = store.size
+    store.add(id, vec)
+    if (node == links.length) links = Array.copyOf(links, 2 * node)
     val level = math.floor(-math.log(rnd.nextDouble() + 1e-12) * levelMult).toInt
     links(node) = Array.tabulate(level + 1)(l => new Array[Int](capAt(l) + 2))
-    n += 1
 
     if (entryPoint < 0) { entryPoint = node; maxLayer = level; return }
 
@@ -114,7 +105,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     val found = math.min(k, searchLayer(s, query, ep, math.max(efSearch, k), 0))
     val out = new Array[(Int, Float)](found)
     var i = 0
-    while (i < found) { out(i) = (extIds(s.outNodes(i)), s.outSims(i)); i += 1 }
+    while (i < found) { out(i) = (store.extId(s.outNodes(i)), s.outSims(i)); i += 1 }
     ArraySeq.unsafeWrapArray(out)
   }
 
@@ -203,15 +194,14 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     * in `s.outNodes`/`outSims` and returns how many there are.
     */
   private def searchLayer(s: Scratch, q: Array[Float], ep: Int, ef: Int, layer: Int): Int = {
-    val stamp = s.nextEpoch(links.length)
     val visited = s.visited
+    visited.clear(size)
     // candidates: best on top; results: worst on top (bounded by ef)
     val cand = s.cand
     val res = s.res
-    val batch = s.gatherNodes
     val sims = s.gatherSims
     cand.clear(); res.clear()
-    visited(ep) = stamp
+    visited.add(ep)
     val epSim = sim(ep, q)
     cand.push(epSim, ep); res.push(epSim, ep)
     while (cand.size > 0) {
@@ -221,20 +211,18 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
       if (cSim < res.topSim && res.size >= ef) {
         cand.clear() // nothing closer can be found
       } else {
+        // the unvisited neighbours, appended to the visited list, are scored together
         val nbs = links(c)(layer)
-        var count = 0
+        val from = visited.count
         var i = 1
-        while (i <= nbs(0)) {
-          val nb = nbs(i)
-          if (visited(nb) != stamp) { visited(nb) = stamp; batch(count) = nb; count += 1 }
-          i += 1
-        }
-        Linalg.dotGather(q, vecs, batch, 0, count, sims)
+        while (i <= nbs(0)) { visited.add(nbs(i)); i += 1 }
+        val count = visited.count - from
+        Linalg.dotGather(q, vecs, visited.nodes, from, count, sims)
         i = 0
         while (i < count) {
           val sn = sims(i)
           if (res.size < ef || sn > res.topSim) {
-            val nb = batch(i)
+            val nb = visited.nodes(from + i)
             cand.push(sn, nb)
             res.push(sn, nb)
             if (res.size > ef) res.pop()
@@ -260,35 +248,23 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
   override def memoryBytes: Long = {
     var live = 0L
     var node = 0
-    while (node < n) { links(node).foreach(live += _(0)); node += 1 }
-    size.toLong * (4L + 4L * dim) + live * 4L
+    while (node < size) { links(node).foreach(live += _(0)); node += 1 }
+    store.memoryBytes + live * 4L
   }
 }
 
 object Hnsw {
-  private val InitialCapacity = 64
-
   /** One thread's search buffers for one instance. */
   private final class Scratch(mMax0: Int) {
-    var visited = new Array[Int](0)
-    private var epoch = 0
+    val visited = new Visited
     val cand = new PairHeap(worstOnTop = false)
     val res = new PairHeap(worstOnTop = true)
     var outNodes = new Array[Int](0)
     var outSims = new Array[Float](0)
     val pruneNodes = new Array[Int](mMax0 + 1)
     val pruneSims = new Array[Float](mMax0 + 1)
-    /** one link list's members and their similarities, from `dotGather` */
-    val gatherNodes = new Array[Int](mMax0 + 1)
+    /** similarities to one link list's members, from `dotGather` */
     val gatherSims = new Array[Float](mMax0 + 1)
-
-    /** a stamp no entry of `visited` (sized for `nodes`) holds yet */
-    def nextEpoch(nodes: Int): Int = {
-      if (epoch == Int.MaxValue) { java.util.Arrays.fill(visited, 0); epoch = 0 }
-      if (visited.length < nodes) visited = new Array[Int](nodes)
-      epoch += 1
-      epoch
-    }
 
     def ensureOut(count: Int): Unit =
       if (outNodes.length < count) {

@@ -64,6 +64,14 @@ class ClusteringSpec extends AnyFunSuite {
     assert(math.abs(res.avgSize * res.nClusters - lake.totalColumns) < 1e-6)
   }
 
+  test("a lake with no columns gives an empty graph, 0 clusters and purity 0") {
+    val empty = lake.copy(tables = IndexedSeq.empty, colContextualType = Map.empty)
+    val (graph, labels) = ColumnClustering.buildGraph(empty, enc)
+    assert(labels.isEmpty)
+    val res = ColumnClustering.evaluate(graph, labels, theta = 0.8)
+    assert(res.nClusters == 0 && res.avgSize == 0.0 && res.purity == 0.0)
+  }
+
   test("colKey format") {
     assert(ColumnClustering.colKey("t1", 3) == "t1#3")
   }

@@ -3,15 +3,16 @@ package repro.exp
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.D3L
 import repro.core.{Contrastive, Featurizer, Metrics, Search, StarmieEncoder, UnionSearcher}
+import repro.index.VectorIndex
 import repro.lake.{Benchmarks, LakeGen}
 import scala.util.Random
 
 /** A santosSmall-sized copy of the bench exactness gates (Table 5 / Fig 10):
   * Pruning returns exactly Linear's ranked lists and verifies fewer tables.
-  * It also pins the LSH-backed answers of Starmie (Table 5's LSH row, with
-  * the 100-step encoder perfbench trains) and of D3L (Table 3's SANTOS Small
-  * row) to digests recorded from the program, so that a change to either
-  * shows in tier-1.
+  * It also pins the answers of Starmie with the 100-step encoder perfbench
+  * trains (Table 5's Linear/Pruning, LSH and HNSW rows, every lake table as
+  * a query) and of D3L (Table 3's SANTOS Small row) to digests recorded from
+  * the program, so that a change to any of them shows in tier-1.
   */
 class PruningSmokeSpec extends AnyFunSuite {
 
@@ -49,14 +50,52 @@ class PruningSmokeSpec extends AnyFunSuite {
     assert(pruning <= 0.9 * linear, s"Pruning verified $pruning tables, Linear $linear")
   }
 
+  /** MAP@10 of `lists` against the lake's ground truth */
+  private def mapAt10(lists: Seq[(String, Seq[(String, Double)])]): Double =
+    Metrics.mean(lists.map { case (qid, r) => Metrics.apAtK(r.map(_._1), lake.groundTruth(qid), profile.k) })
+
+  /** every lake table's ranked list from `query` */
+  private def everyTable(query: IndexedSeq[Array[Float]] => Search.Result): IndexedSeq[(String, Seq[(String, Double)])] = {
+    val lists = emb.lake.map { case (qid, q) => qid -> query(q).ranked }
+    assert(lists.size == 546)
+    lists
+  }
+
+  test("santosSmall: Linear and Pruning give equal ranked lists for every lake table, matching the recorded digest and MAP@10") {
+    val searcher = new UnionSearcher(emb.lake, Experiments.DefaultTau)
+    val lists = everyTable { q =>
+      val lin = searcher.queryLinear(q, profile.k)
+      assert(searcher.queryPruning(q, profile.k).ranked == lin.ranked)
+      lin
+    }
+    val map = mapAt10(lists)
+    assert(digest(lists) == "0941cf281e3691b4b3efffeeb887bf50e5a2b910d5c5ceb8a4fe6415c8268490")
+    assert(map == 0.9470091284376987, s"MAP@10 $map")
+  }
+
   test("santosSmall: the LSH mode's ranked lists for every lake table match the recorded digest and MAP@10") {
     val searcher = new UnionSearcher(emb.lake, Experiments.DefaultTau)
     val index = Search.buildColumnIndex(emb.lake, Experiments.Lsh.mkIndex)
-    val lists = emb.lake.map { case (qid, q) => qid -> searcher.queryWithIndex(q, profile.k, index).ranked }
-    val map = Metrics.mean(lists.map { case (qid, r) => Metrics.apAtK(r.map(_._1), lake.groundTruth(qid), profile.k) })
-    assert(lists.size == 546)
+    val lists = everyTable(searcher.queryWithIndex(_, profile.k, index))
+    val map = mapAt10(lists)
     assert(digest(lists) == "77be7e5445116c4d0d79df0d717054551b7b95b5761db3ae94cce183ffec7d2d")
     assert(map == 0.6756035234606659, s"MAP@10 $map")
+  }
+
+  test("santosSmall: the HNSW mode's ranked lists for every lake table and its probes match the recorded digests and MAP@10") {
+    val searcher = new UnionSearcher(emb.lake, Experiments.DefaultTau)
+    var hnsw: VectorIndex = null
+    val index = Search.buildColumnIndex(emb.lake, d => { hnsw = Experiments.HnswIdx.mkIndex(d); hnsw })
+    val lists = everyTable(searcher.queryWithIndex(_, profile.k, index))
+    val map = mapAt10(lists)
+    // HNSW finds every table Linear ranks here, so the lists are Linear's;
+    // the top-64 answers (queryWithIndex's probe) for every lake column pin the graph
+    assert(digest(lists) == "0941cf281e3691b4b3efffeeb887bf50e5a2b910d5c5ceb8a4fe6415c8268490")
+    assert(map == 0.9470091284376987, s"MAP@10 $map")
+    val probes = emb.lake.flatMap(_._2).zipWithIndex.map { case (col, i) =>
+      i.toString -> hnsw.search(col, 64).map { case (id, s) => (id.toString, s.toDouble) }
+    }
+    assert(digest(probes) == "b09d78b7ca7e9ab7df11bd6c387b754fdfcaeaa681840c48a2e5d96e385d0b95")
   }
 
   test("SANTOS Small: D3L's ranked lists match the recorded digest") {

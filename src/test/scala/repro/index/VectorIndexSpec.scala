@@ -80,6 +80,46 @@ class VectorIndexSpec extends AnyFunSuite {
     assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(40), prop).passed)
   }
 
+  test("LinearIndex ranks by Float.compare on dot descending, exact ties in insertion order, cut at k (property)") {
+    val gen = for {
+      dim  <- Gen.oneOf(2, 3, 16)
+      n    <- Gen.choose(0, 150)
+      k    <- Gen.choose(-1, n + 3)
+      seed <- Gen.choose(0L, Long.MaxValue)
+    } yield (dim, n, k, seed)
+    var repeats, zeros, noneAsked, cut, all = 0
+    val prop = Prop.forAllNoShrink(gen) { case (dim, n, k, seed) =>
+      val rnd = new Random(seed)
+      def unit(): Array[Float] = Linalg.normalize(Array.fill(dim)(rnd.nextGaussian().toFloat))
+      // some vectors repeat an earlier one and some are zero, so scores tie exactly
+      var repeated, zero = false
+      val vecs = (0 until n).foldLeft(Vector.empty[Array[Float]]) { (acc, i) =>
+        acc :+ (rnd.nextInt(6) match {
+          case 0          => zero = true; new Array[Float](dim)
+          case 1 if i > 0 => repeated = true; acc(rnd.nextInt(i)).clone()
+          case _          => unit()
+        })
+      }
+      if (repeated) repeats += 1
+      if (zero) zeros += 1
+      if (k <= 0) noneAsked += 1 else if (k < n) cut += 1 else all += 1
+      // ids fall with insertion order, so an id tie-break would read the ties backwards
+      val ids   = vecs.indices.map(i => 3 * (n - i))
+      val index = new LinearIndex(dim)
+      ids.zip(vecs).foreach { case (id, v) => index.add(id, v) }
+      val queries = Seq(unit(), new Array[Float](dim)) ++ vecs.take(1)
+      queries.forall { q =>
+        // a stable sort keeps insertion order among equal scores
+        val reference = ids.zip(vecs.map(Linalg.dot(q, _)))
+          .sortWith((a, b) => java.lang.Float.compare(a._2, b._2) > 0).take(k)
+        bits(index.search(q, k)) == bits(reference)
+      }
+    }
+    assert(SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(200), prop).passed)
+    assert(Seq(repeats, zeros, noneAsked, cut, all).forall(_ > 0),
+      s"repeated vectors $repeats, zero vectors $zeros, k ≤ 0 $noneAsked, 0 < k < n $cut, k ≥ n $all")
+  }
+
   test("4 threads searching one index at once get the sequential answers bit for bit, also after a serialization round trip") {
     val rnd = new Random(21)
     val dim = 32
