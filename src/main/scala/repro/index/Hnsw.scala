@@ -8,11 +8,13 @@ import scala.collection.immutable.ArraySeq
   * query-time gain on WDC.
   *
   * Faithful to the published algorithm: exponential level assignment with
-  * mL = 1/ln(M); greedy descent through upper layers; beam search of width
-  * efConstruction at insertion / efSearch at query. Neighbours are chosen by
-  * the diversity heuristic as hnswlib runs it (`getNeighborsByHeuristic2`):
-  * a new node links to at most M of its candidates, and a list that grows
-  * past M (2M at layer 0) is re-selected, keeping only diverse picks.
+  * mL = 1/ln(M); one layer search (SEARCH-LAYER) serves every layer: a beam
+  * of width 1 on the layers above the target, of width efConstruction on an
+  * insert's own layers and of width efSearch on layer 0 at query.
+  * Neighbours are chosen by the diversity heuristic as hnswlib runs it
+  * (`getNeighborsByHeuristic2`): a new node links to at most M of its
+  * candidates, and a list that grows past M (2M at layer 0) is re-selected,
+  * keeping only diverse picks.
   *
   * Data layout follows hnswlib: a [[LinearIndex]] holds the vectors, by
   * reference, and the external ids; each node has one fixed-capacity `Int`
@@ -54,7 +56,6 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     ThreadLocal.withInitial(() => new Scratch(mMax0))
 
   @inline private def vecs: Array[Array[Float]] = store.vectors
-  @inline private def sim(a: Int, q: Array[Float]): Float = Linalg.dot(vecs(a), q)
   @inline private def capAt(layer: Int): Int = if (layer == 0) mMax0 else m
 
   override def size: Int = store.size
@@ -71,15 +72,9 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     if (entryPoint < 0) { entryPoint = node; maxLayer = level; return }
 
     val s = scratches.get
-    var ep = entryPoint
-    // greedy descent on layers above the new node's level
-    var layer = maxLayer
-    while (layer > level) {
-      ep = greedyClosest(s, vec, ep, layer)
-      layer -= 1
-    }
+    var ep = descend(s, vec, level)
     // beam-search insert on each layer ≤ min(level, maxLayer)
-    layer = math.min(level, maxLayer)
+    var layer = math.min(level, maxLayer)
     while (layer >= 0) {
       val found = searchLayer(s, vec, ep, efConstruction, layer)
       val bucket = links(node)(layer)
@@ -96,13 +91,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     VectorIndex.requireInput(query, dim, "query")
     if (entryPoint < 0 || k <= 0) return IndexedSeq.empty
     val s = scratches.get
-    var ep = entryPoint
-    var layer = maxLayer
-    while (layer > 0) {
-      ep = greedyClosest(s, query, ep, layer)
-      layer -= 1
-    }
-    val found = math.min(k, searchLayer(s, query, ep, math.max(efSearch, k), 0))
+    val found = math.min(k, searchLayer(s, query, descend(s, query, 0), math.max(efSearch, k), 0))
     val out = new Array[(Int, Float)](found)
     var i = 0
     while (i < found) { out(i) = (store.extId(s.outNodes(i)), s.outSims(i)); i += 1 }
@@ -170,24 +159,18 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     dst(0) = selected
   }
 
-  /** greedy hill-climb to the locally closest node on `layer` */
-  private def greedyClosest(s: Scratch, q: Array[Float], start: Int, layer: Int): Int = {
-    val sims = s.gatherSims
-    var cur = start
-    var curSim = sim(cur, q)
-    var improved = true
-    while (improved) {
-      improved = false
-      val nbs = links(cur)(layer)
-      val count = nbs(0)
-      Linalg.dotGather(q, vecs, nbs, 1, count, sims)
-      var i = 0
-      while (i < count) {
-        if (sims(i) > curSim) { curSim = sims(i); cur = nbs(i + 1); improved = true }
-        i += 1
-      }
+  /** The entry point for `bottom`: from the graph's entry point, a beam of
+    * width 1 on each layer above `bottom` (Malkov & Yashunin, Alg. 1 and 5).
+    */
+  private def descend(s: Scratch, q: Array[Float], bottom: Int): Int = {
+    var ep = entryPoint
+    var layer = maxLayer
+    while (layer > bottom) {
+      searchLayer(s, q, ep, 1, layer)
+      ep = s.outNodes(0)
+      layer -= 1
     }
-    cur
+    ep
   }
 
   /** Beam search of width `ef` on `layer`. Leaves the candidates best-first
@@ -202,7 +185,7 @@ final class Hnsw(dim: Int, m: Int = 16, efConstruction: Int = 100,
     val sims = s.gatherSims
     cand.clear(); res.clear()
     visited.add(ep)
-    val epSim = sim(ep, q)
+    val epSim = Linalg.dot(vecs(ep), q)
     cand.push(epSim, ep); res.push(epSim, ep)
     while (cand.size > 0) {
       val c = cand.topNode

@@ -8,9 +8,9 @@ import org.scalatest.funsuite.AnyFunSuite
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). The DataFrames that the DuckDB `Oracle` checks compare are the
-  * only ones in the tests that shuffle (the lake statistics' `groupBy`);
-  * they run with a fixed 64 shuffle partitions and no broadcast joins.
+  * limit). The DataFrames that the DuckDB `Oracle` checks compare hold
+  * program values built on the driver, so none of them shuffles; the
+  * session still fixes 64 shuffle partitions and no broadcast joins.
   * `DataDiscoveryML.mse` hands MLlib one partition, so the case study does
   * not depend on either setting.
   */

@@ -49,6 +49,20 @@ class MetricsSpec extends AnyFunSuite {
     assert(Metrics.idealRecallAtK(rel, 10) == 1.0)
   }
 
+  test("every @k metric requires k > 0") {
+    for (k <- Seq(0, -1)) {
+      val calls = Seq[(String, () => Double)](
+        "AP"    -> (() => Metrics.apAtK(Seq("a"), rel, k)),
+        "P"     -> (() => Metrics.precisionAtK(Seq("a"), rel, k)),
+        "R"     -> (() => Metrics.recallAtK(Seq("a"), rel, k)),
+        "IDEAL" -> (() => Metrics.idealRecallAtK(rel, k)))
+      calls.foreach { case (name, call) =>
+        val e = intercept[IllegalArgumentException](call())
+        assert(e.getMessage.contains(s"k must be positive, got $k"), s"$name@$k")
+      }
+    }
+  }
+
   test("recall can never exceed IDEAL") {
     val ranked = Seq("a", "b", "x")
     assert(Metrics.recallAtK(ranked, rel, 2) <= Metrics.idealRecallAtK(rel, 2))

@@ -10,21 +10,26 @@ class TableModelSpec extends SparkSpec {
       ColumnData("b", IndexedSeq("1", "2")))),
     TableData("t2", IndexedSeq(
       ColumnData("c", IndexedSeq("z")))),
+    // columns of different lengths: numRows is the longest, not the first
+    TableData("t3", IndexedSeq(
+      ColumnData("d", IndexedSeq("p")),
+      ColumnData("e", IndexedSeq("q", "r", "s")))),
   )
 
   test("toCellDf emits one row per cell") {
     val df = Oracle.toCellDf(spark, tables)
-    assert(df.count() == 5)
+    assert(df.count() == 9)
     assert(df.columns.toSeq == Seq("table_id", "col_idx", "col_name", "row_idx", "value"))
   }
 
-  test("toCellDf cell counts per table match DuckDB aggregation (oracle)") {
-    import org.apache.spark.sql.functions._
-    val cellDf = Oracle.toCellDf(spark, tables)
-    val agg = cellDf.groupBy("table_id").agg(count(lit(1)).as("n_cells"))
-    Oracle.assertEquivalent(agg,
-      "SELECT table_id, COUNT(*) AS n_cells FROM cells GROUP BY table_id",
-      "cells" -> cellDf)
+  test("numCols and numRows per table match DuckDB over the cell view (oracle)") {
+    import spark.implicits._
+    Oracle.assertEquivalent(
+      tables.map(t => (t.id, t.numCols, t.numRows)).toDF("table_id", "n_cols", "n_rows"),
+      """SELECT table_id, COUNT(*) AS n_cols, MAX(n) AS n_rows
+        |FROM (SELECT table_id, col_idx, COUNT(*) AS n FROM cells GROUP BY table_id, col_idx)
+        |GROUP BY table_id""".stripMargin,
+      "cells" -> Oracle.toCellDf(spark, tables))
   }
 
   /** Rebuilds the corpus from its cell-level view, ordering columns by

@@ -5,35 +5,54 @@ import repro.baselines.D3L
 import repro.core.{Contrastive, Featurizer, Metrics, Search, StarmieEncoder, UnionSearcher}
 import repro.index.VectorIndex
 import repro.lake.{Benchmarks, LakeGen}
+import java.nio.ByteBuffer
+import java.security.MessageDigest
 import scala.util.Random
 
 /** A santosSmall-sized copy of the bench exactness gates (Table 5 / Fig 10):
   * Pruning returns exactly Linear's ranked lists and verifies fewer tables.
-  * It also pins the answers of Starmie with the 100-step encoder perfbench
-  * trains (Table 5's Linear/Pruning, LSH and HNSW rows, every lake table as
-  * a query) and of D3L (Table 3's SANTOS Small row) to digests recorded from
-  * the program, so that a change to any of them shows in tier-1.
+  * It also pins, to digests recorded from the program, the 100-step encoder
+  * perfbench trains (the bits of W and of every lake embedding), Starmie's
+  * answers with it (Table 5's Linear/Pruning, LSH and HNSW rows, every lake
+  * table as a query) and D3L's (Table 3's SANTOS Small row), so that a
+  * change to any of them shows in tier-1.
   */
 class PruningSmokeSpec extends AnyFunSuite {
 
   private val profile = Benchmarks.santosSmall
   private lazy val lake = LakeGen.generate(profile.cfg)
-  private lazy val emb = {
-    val feat = new Featurizer()
-    val w = Contrastive.trainMultiColumn(lake.tables, feat, Contrastive.TrainConfig(maxSteps = 100))
-    Experiments.embedLake(lake, new StarmieEncoder(feat, w))
-  }
+  private lazy val feat = new Featurizer()
+  private lazy val w = Contrastive.trainMultiColumn(lake.tables, feat, Contrastive.TrainConfig(maxSteps = 100))
+  private lazy val emb = Experiments.embedLake(lake, new StarmieEncoder(feat, w))
+
+  private def hex(md: MessageDigest): String = md.digest().map(b => f"$b%02x").mkString
 
   /** SHA-256 over each query's id and its ranked (table id, score bits), in order */
   private def digest(lists: Seq[(String, Seq[(String, Double)])]): String = {
-    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val md = MessageDigest.getInstance("SHA-256")
     lists.foreach { case (qid, ranked) =>
       md.update(s"$qid:".getBytes("UTF-8"))
       ranked.foreach { case (tid, s) =>
         md.update(s"$tid=${java.lang.Double.doubleToLongBits(s).toHexString};".getBytes("UTF-8"))
       }
     }
-    md.digest().map(b => f"$b%02x").mkString
+    hex(md)
+  }
+
+  /** SHA-256 over the raw bits of `rows` (`floatToRawIntBits`, big-endian), row-major */
+  private def bitsDigest(rows: Iterator[Array[Float]]): String = {
+    val md = MessageDigest.getInstance("SHA-256")
+    rows.foreach { row =>
+      val buf = ByteBuffer.allocate(4 * row.length)
+      row.foreach(x => buf.putInt(java.lang.Float.floatToRawIntBits(x)))
+      md.update(buf.array())
+    }
+    hex(md)
+  }
+
+  test("santosSmall: the 100-step encoder's W and every lake embedding match the recorded digests") {
+    assert(bitsDigest(w.iterator) == "ba7beb2b5b1c9c65220b53be290aa14dc2abd4b37d54e13243032fd4f2a03899")
+    assert(bitsDigest(emb.lake.iterator.flatMap(_._2)) == "49bcbd1e441041ae9540c5310a78596d935fbc5aa1cc5af05e880fab3722a020")
   }
 
   test("santosSmall: Pruning equals Linear on 20 queries with ≤ 90% of its verifications") {

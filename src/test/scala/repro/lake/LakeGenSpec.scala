@@ -1,6 +1,5 @@
 package repro.lake
 
-import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import LakeGen._
 
@@ -91,14 +90,23 @@ class LakeGenSpec extends SparkSpec {
   }
 
   test("lake statistics: column totals match DuckDB (oracle)") {
-    val sample = lake.tables.take(10)
-    val cellDf = Oracle.toCellDf(spark, sample)
-    val agg = cellDf.groupBy("table_id")
-      .agg(countDistinct("col_idx").as("n_cols"), countDistinct("row_idx").as("n_rows"))
-    Oracle.assertEquivalent(agg,
-      """SELECT table_id, COUNT(DISTINCT col_idx) AS n_cols,
-        |       COUNT(DISTINCT row_idx) AS n_rows
-        |FROM cells GROUP BY table_id""".stripMargin,
+    import spark.implicits._
+    // the program's figures on the Spark side; DuckDB derives them from the cells
+    val cellDf = Oracle.toCellDf(spark, lake.tables)
+    val perColumn =
+      """SELECT table_id, col_idx, COUNT(*) AS n, SUM(LENGTH(value)) AS bytes
+        |FROM cells GROUP BY table_id, col_idx""".stripMargin
+    val perTable =
+      s"""SELECT table_id, COUNT(*) AS n_cols, MAX(n) AS n_rows, SUM(bytes) AS bytes
+         |FROM ($perColumn) GROUP BY table_id""".stripMargin
+    Oracle.assertEquivalent(
+      lake.tables.map(t => (t.id, t.numCols, t.numRows)).toDF("table_id", "n_cols", "n_rows"),
+      s"SELECT table_id, n_cols, n_rows FROM ($perTable)",
+      "cells" -> cellDf)
+    Oracle.assertEquivalent(
+      Seq((lake.totalColumns, lake.avgRows, lake.sizeBytes)).toDF("total_columns", "avg_rows", "size_bytes"),
+      s"""SELECT SUM(n_cols) AS total_columns, AVG(n_rows) AS avg_rows, SUM(bytes) AS size_bytes
+         |FROM ($perTable)""".stripMargin,
       "cells" -> cellDf)
   }
 
